@@ -35,13 +35,28 @@ Leases (multi-process coordination)
 The store doubles as the coordination substrate for concurrent runs over
 one grid: cell-granular **leases** live in a sidecar JSONL file
 (``<store>.leases``) as idempotent appends -- ``claim`` / ``heartbeat`` /
-``release`` records folded in file order, last live claim wins, leases
-expire after their TTL so a crashed owner's cells are *reclaimed* by any
-surviving run.  Two ``repro sweep --resume`` processes on one store
-partition the pending cells instead of duplicating them; the results file
-itself stays pure (lease traffic never touches it), which is what keeps
-fault-free and fault-injected stores byte-comparable after
-:meth:`ResultsStore.compact`.
+``release`` records folded in file order.  The *first live claim wins*: a
+claim line takes the cell only when no other owner holds a live lease on
+it at that line's timestamp, so of two racing claimants exactly the one
+whose line landed first holds the cell.  Leases expire after their TTL so
+a crashed owner's cells are *reclaimed* by any surviving run.  Two
+``repro sweep --resume`` processes on one store partition the pending
+cells instead of duplicating them; the results file itself stays pure
+(lease traffic never touches it), which is what keeps fault-free and
+fault-injected stores byte-comparable after :meth:`ResultsStore.compact`.
+
+Tail reads
+----------
+Both files only ever grow by whole lines between maintenance rewrites, so
+a store instance reads each of them incrementally: it remembers the byte
+offset just past the last complete line it took in, the file's identity
+(``st_dev`` / ``st_ino``) and the bytes just before that offset, and each
+refresh folds only the lines appended since into the key index or the
+lease state.  A refresh starts over from byte 0 only when the file was
+replaced (:meth:`ResultsStore.compact`), shrank below the offset, or no
+longer holds the same bytes before it (rewritten in place); it never takes
+in a final line that has no newline yet.  So a claim or a query costs what
+was appended since the previous one, not the size of the store.
 """
 
 from __future__ import annotations
@@ -66,6 +81,10 @@ LEASE_FORMAT_VERSION = 1
 
 #: Default seconds before an unrefreshed lease is considered stale.
 DEFAULT_LEASE_TTL = 300.0
+
+#: How many bytes before a tail reader's offset must be unchanged for the
+#: next read to continue from that offset (see "Tail reads").
+_ANCHOR_BYTES = 256
 
 
 class TornWriteError(OSError):
@@ -124,9 +143,83 @@ def parse_key(key: str) -> dict | None:
         return None
 
 
+def _json_object(line: bytes) -> dict | None:
+    try:
+        value = json.loads(line.decode(errors="replace"))
+    except json.JSONDecodeError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _parse_record(line: bytes) -> dict | None:
+    """One results-file line as a record, or None for a corrupt/stale one."""
+    record = _json_object(line)
+    if (record is None or record.get("v") != STORE_FORMAT_VERSION
+            or not isinstance(record.get("key"), str)
+            or not isinstance(record.get("result"), dict)):
+        return None
+    return record
+
+
+def _parse_lease(line: bytes) -> tuple | None:
+    """``(op, key, owner, t, ttl)`` of one lease line, or None (foreign/garbled)."""
+    entry = _json_object(line)
+    if entry is None or entry.get("lv") != LEASE_FORMAT_VERSION:
+        return None
+    key, owner = entry.get("key"), entry.get("owner")
+    if not isinstance(key, str) or not isinstance(owner, str):
+        return None
+    try:
+        return (entry.get("op"), key, owner, float(entry.get("t", 0.0)),
+                float(entry.get("ttl", 0.0)))
+    except (TypeError, ValueError):
+        return None
+
+
+class _TailFile:
+    """Incremental reader of one append-only JSONL file (see "Tail reads")."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._ident: tuple[int, int] | None = None
+        self._offset = 0
+        self._anchor = b""
+
+    def read(self) -> tuple[bool, list[bytes]]:
+        """``(restarted, lines)``: the complete lines appended since the last read.
+
+        ``restarted`` means the lines start at byte 0 (first read, or the
+        file was replaced, shrank or rewritten), so the caller must drop
+        everything it folded before.  A missing or unreadable file reads
+        as empty.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                info = os.fstat(handle.fileno())
+                ident = (info.st_dev, info.st_ino)
+                resume = ident == self._ident and info.st_size >= self._offset
+                start = self._offset - len(self._anchor) if resume else 0
+                handle.seek(start)
+                data = handle.read()
+        except OSError:
+            ident, resume, start, data = None, False, 0, b""
+        if resume and not data.startswith(self._anchor):
+            self._ident = None  # rewritten in place: start over
+            return self.read()
+        skip = len(self._anchor) if resume else 0
+        end = data.rfind(b"\n") + 1  # never past the last complete line
+        self._ident, self._offset = ident, start + end
+        self._anchor = data[max(end - _ANCHOR_BYTES, 0):end]
+        return not resume, data[skip:end].split(b"\n")[:-1]
+
+
 @dataclass
 class StoreStats:
-    """Accounting for one :class:`ResultsStore` (reported by ``repro paper``)."""
+    """Accounting for one :class:`ResultsStore` (reported by ``repro paper``).
+
+    ``corrupt_lines`` counts skipped lines plus torn tails removed by
+    :meth:`ResultsStore.repair`.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -143,10 +236,10 @@ class ResultsStore:
 
     The store is safe to share across the many :func:`~repro.experiments
     .runner.run_sweep` calls of one figure grid (one open handle, one
-    in-memory index) and across *processes over time* (every run reloads
-    the file).  Concurrent processes coordinate through cell leases (see
-    the module docstring); results are still only appended by each sweep's
-    parent process, never by pool workers.
+    in-memory index) and across *processes over time* (every refresh
+    tail-reads the file).  Concurrent processes coordinate through cell
+    leases (see the module docstring); results are still only appended by
+    each sweep's parent process, never by pool workers.
     """
 
     def __init__(self, path: str | Path, fsync: bool = True,
@@ -161,8 +254,15 @@ class ResultsStore:
                                f"-{uuid.uuid4().hex[:8]}")
         self._clock = clock
         self.stats = StoreStats()
-        self._index: dict[str, dict] | None = None
+        #: key -> (result payload, :func:`parse_key` components); None
+        #: until the first read.
+        self._index: dict[str, tuple[dict, dict | None]] | None = None
+        self._results_tail = _TailFile(self.path)
         self._handle = None
+        #: key -> {owner, t, ttl, expires}: the folded lease sidecar.
+        self._leases: dict[str, dict] = {}
+        self._lease_lines = 0
+        self._lease_tail = _TailFile(self.lease_path)
         #: Keys this store instance currently holds a lease on.
         self.owned_leases: set[str] = set()
         self._last_heartbeat = self._clock()
@@ -173,46 +273,31 @@ class ResultsStore:
 
     # -- loading --------------------------------------------------------------------
 
-    def _load(self) -> dict[str, dict]:
-        """Parse the store file into the key index, skipping corrupt lines."""
-        if self._index is not None:
-            return self._index
-        index: dict[str, dict] = {}
-        try:
-            text = self.path.read_text(errors="replace")
-        except FileNotFoundError:
-            self._index = index
-            return index
-        except OSError:
-            # Unreadable store: behave as empty, the run re-simulates.
-            self.stats.corrupt_lines += 1
-            self._index = index
-            return index
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.stats.corrupt_lines += 1
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("v") != STORE_FORMAT_VERSION
-                    or not isinstance(record.get("key"), str)
-                    or not isinstance(record.get("result"), dict)):
-                self.stats.corrupt_lines += 1
-                continue
-            index[record["key"]] = record["result"]
-        self._index = index
-        return index
+    def _load(self) -> dict[str, tuple[dict, dict | None]]:
+        """The key index, read from the file on first use."""
+        if self._index is None:
+            self.reload()
+        return self._index
 
     def reload(self) -> None:
-        """Drop the in-memory index so the next lookup re-reads the file.
+        """Fold the records appended since the last read into the key index.
 
-        The concurrent-resume poll loop uses this to observe cells another
-        process finished after we first loaded.
+        The first lookup and every refresh share this tail read; the
+        concurrent-resume poll loop calls it to observe cells another
+        process finished since.  Corrupt lines are skipped and counted.
         """
-        self._index = None
+        restarted, lines = self._results_tail.read()
+        if restarted:
+            self._index = {}
+        for line in lines:
+            if not line.strip():
+                continue
+            record = _parse_record(line)
+            if record is None:
+                self.stats.corrupt_lines += 1
+                continue
+            key = record["key"]
+            self._index[key] = (record["result"], parse_key(key))
 
     def __len__(self) -> int:
         return len(self._load())
@@ -230,12 +315,12 @@ class ResultsStore:
 
     def get(self, job) -> SimulationResult | None:
         """The stored result for ``job``, or ``None`` (cell must run)."""
-        payload = self._load().get(job_key(job))
-        if payload is None:
+        entry = self._load().get(job_key(job))
+        if entry is None:
             self.stats.misses += 1
             return None
         try:
-            result = SimulationResult.from_dict(payload)
+            result = SimulationResult.from_dict(entry[0])
         except (KeyError, TypeError, ValueError):
             # A record whose body does not deserialize is corruption too.
             self.stats.corrupt_lines += 1
@@ -287,7 +372,7 @@ class ResultsStore:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self._load()[key] = payload
+        self._load()[key] = (payload, parse_key(key))
         self.stats.appended += 1
 
     def record_torn(self, job, result: SimulationResult,
@@ -314,8 +399,9 @@ class ResultsStore:
 
         Safe by the append discipline: complete records always end in a
         newline, so trailing bytes without one are a torn append, never a
-        finished cell.  Interior corruption is *not* rewritten here --
-        loading skips it and :meth:`compact` cleans it.
+        finished cell (nor ever taken into the index).  A removed tail
+        counts as one corrupt line.  Interior corruption is *not*
+        rewritten here -- loading skips it and :meth:`compact` cleans it.
         """
         had_handle = self._handle is not None
         if had_handle:
@@ -329,12 +415,12 @@ class ResultsStore:
                 if size:
                     handle.seek(-1, 2)
                     if handle.read(1) != b"\n":
-                        data = None
                         handle.seek(0)
                         data = handle.read()
                         keep = data.rfind(b"\n") + 1  # 0 when no newline at all
                         handle.truncate(keep)
                         removed = size - keep
+                        self.stats.corrupt_lines += 1
         except OSError:
             return 0
         if had_handle:
@@ -365,43 +451,40 @@ class ResultsStore:
             handle.write(line + "\n")
 
     def _lease_state(self) -> dict[str, dict]:
-        """Fold the lease file: key -> last-winning {owner, expires, t, ttl}.
+        """The folded lease file: key -> holder {owner, expires, t, ttl}.
 
-        Fold rules (idempotent appends, file order): a ``claim`` always
-        installs its owner (last claim wins -- the tie-break for racing
-        claimants); ``heartbeat`` refreshes expiry only when its owner
-        still holds the lease; ``release`` clears it only for the holder.
+        Folds only the lines appended since the last call (a tail read).
+        Fold rules (idempotent appends, file order): a ``claim`` installs
+        its owner unless *another* owner's lease is still live at the
+        claim's ``t`` (first live claim wins -- the tie-break for racing
+        claimants; the holder's own claim refreshes its lease, and a stale
+        lease is taken over); ``heartbeat`` refreshes expiry only when its
+        owner still holds the lease; ``release`` clears it only for the
+        holder.
         """
-        state: dict[str, dict] = {}
-        try:
-            text = self.lease_path.read_text(errors="replace")
-        except OSError:
-            return state
-        for line in text.splitlines():
+        restarted, lines = self._lease_tail.read()
+        if restarted:
+            self._leases, self._lease_lines = {}, 0
+        state = self._leases
+        for line in lines:
             if not line.strip():
                 continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
+            self._lease_lines += 1
+            entry = _parse_lease(line)
+            if entry is None:
                 continue
-            if (not isinstance(entry, dict)
-                    or entry.get("lv") != LEASE_FORMAT_VERSION):
-                continue
-            op, key, owner = entry.get("op"), entry.get("key"), entry.get("owner")
-            if not isinstance(key, str) or not isinstance(owner, str):
-                continue
-            try:
-                t, ttl = float(entry.get("t", 0.0)), float(entry.get("ttl", 0.0))
-            except (TypeError, ValueError):
-                continue
+            op, key, owner, t, ttl = entry
             current = state.get(key)
             if op == "claim":
-                state[key] = {"owner": owner, "t": t, "ttl": ttl,
-                              "expires": t + ttl}
-            elif op == "heartbeat" and current and current["owner"] == owner:
-                current.update(t=t, ttl=ttl, expires=t + ttl)
-            elif op == "release" and current and current["owner"] == owner:
-                del state[key]
+                if (current is None or current["owner"] == owner
+                        or current["expires"] <= t):
+                    state[key] = {"owner": owner, "t": t, "ttl": ttl,
+                                  "expires": t + ttl}
+            elif current is not None and current["owner"] == owner:
+                if op == "heartbeat":
+                    current.update(t=t, ttl=ttl, expires=t + ttl)
+                elif op == "release":
+                    del state[key]
         return state
 
     def lease_holder(self, job) -> dict | None:
@@ -416,9 +499,10 @@ class ResultsStore:
 
         Returns ``"fresh"`` (nobody held it), ``"reclaimed"`` (a stale
         lease was taken over) or ``None``.  Claiming is check -> append ->
-        verify: after appending our claim the file is re-read, and the
-        *last* claim line wins, so two racing claimants agree on a single
-        winner without any locking.
+        verify: after appending our claim the new tail of the lease file
+        is folded, and the *first* live claim wins, so however the steps
+        of two racing claimants interleave, both agree on the one whose
+        line landed first -- without any locking.
         """
         key = job_key(job)
         now = self._clock()
@@ -429,7 +513,7 @@ class ResultsStore:
         self._append_lease("claim", key, ttl)
         winner = self._lease_state().get(key)
         if winner is None or winner["owner"] != self.owner:
-            return None  # a racing claimant appended after us and won
+            return None  # a racing claimant's line landed first and holds it
         self.owned_leases.add(key)
         return "reclaimed" if stale and current["owner"] != self.owner else "fresh"
 
@@ -476,12 +560,15 @@ class ResultsStore:
         fingerprint and a shortened one both work).  Each row carries the
         parsed key components plus the raw result payload; keys this
         store version cannot parse (foreign writers) are skipped.  Purely
-        read-side: never touches leases or :attr:`stats`.
+        read-side (never touches leases).  The index is refreshed by a tail
+        read, and each key was split into its components when its record
+        was first read, so a query re-parses nothing it already read.
         """
         self.reload()
         rows: list[dict] = []
-        for key in sorted(self._load()):
-            parsed = parse_key(key)
+        index = self._index
+        for key in sorted(index):
+            payload, parsed = index[key]
             if parsed is None:
                 continue
             if workload is not None and parsed["workload"] != workload:
@@ -491,8 +578,7 @@ class ResultsStore:
             if fingerprint is not None \
                     and not parsed["config"].startswith(fingerprint):
                 continue
-            rows.append({"key": key, **parsed,
-                         "result": self._load()[key]})
+            rows.append({"key": key, **parsed, "result": payload})
             if limit is not None and len(rows) >= limit:
                 break
         return rows
@@ -516,33 +602,22 @@ class ResultsStore:
         report["file_bytes"] = len(raw)
         report["torn_tail"] = bool(raw) and not raw.endswith(b"\n")
         keys: dict[str, int] = {}
-        for line in raw.decode(errors="replace").splitlines():
+        for line in raw.split(b"\n"):
             if not line.strip():
                 continue
             report["lines"] += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                report["corrupt_lines"] += 1
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("v") != STORE_FORMAT_VERSION
-                    or not isinstance(record.get("key"), str)
-                    or not isinstance(record.get("result"), dict)):
+            record = _parse_record(line)
+            if record is None:
                 report["corrupt_lines"] += 1
                 continue
             report["records"] += 1
             keys[record["key"]] = keys.get(record["key"], 0) + 1
         report["unique_keys"] = len(keys)
         report["duplicate_keys"] = sum(count - 1 for count in keys.values())
-        try:
-            report["lease_lines"] = sum(
-                1 for line in self.lease_path.read_text(errors="replace")
-                .splitlines() if line.strip())
-        except OSError:
-            pass
+        leases = self._lease_state()
+        report["lease_lines"] = self._lease_lines
         now = self._clock()
-        for entry in self._lease_state().values():
+        for entry in leases.values():
             if entry["expires"] > now:
                 report["leases_live"] += 1
             else:
@@ -564,18 +639,12 @@ class ResultsStore:
         before = self.verify()
         records: dict[str, dict] = {}
         try:
-            text = self.path.read_text(errors="replace")
+            raw = self.path.read_bytes()
         except OSError:
-            text = ""
-        for line in text.splitlines():
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (not isinstance(record, dict)
-                    or record.get("v") != STORE_FORMAT_VERSION
-                    or not isinstance(record.get("key"), str)
-                    or not isinstance(record.get("result"), dict)):
+            raw = b""
+        for line in raw.split(b"\n"):
+            record = _parse_record(line)
+            if record is None:
                 continue
             if not keep_meta:
                 record.pop("meta", None)

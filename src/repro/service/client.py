@@ -246,7 +246,18 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             save_transcript()
             return 1
-        metrics = client.metrics()
+        # Both of this session's jobs are terminal, so the service-wide
+        # active gauge must read 0: at once when this session runs alone,
+        # once their jobs end when other sessions share the service.
+        idle_deadline = time.monotonic() + 60.0
+        while True:
+            metrics = client.metrics()
+            active = [metric for metric in metrics["metrics"]["metrics"]
+                      if metric["name"] == "service_jobs_active"]
+            if not active or active[0]["value"] == 0 \
+                    or time.monotonic() >= idle_deadline:
+                break
+            time.sleep(0.2)
         record("metrics", metrics)
         names = {metric["name"] for metric in metrics["metrics"]["metrics"]}
         if "service_sweeps_submitted_total" not in names:
@@ -254,8 +265,6 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             save_transcript()
             return 1
-        active = [metric for metric in metrics["metrics"]["metrics"]
-                  if metric["name"] == "service_jobs_active"]
         if active and active[0]["value"] != 0:
             print(f"error: {active[0]['value']} job(s) still active after the "
                   "session (cancel did not free its slot)", file=sys.stderr)

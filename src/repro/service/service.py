@@ -17,7 +17,9 @@ All jobs share one results store *path* but each opens its own
 identity, so the store's cell-granular leases partition overlapping
 grids between concurrent jobs: every unique cell simulates exactly once,
 later and concurrent requesters read it back (``from_store``), and a
-repeat of an already-served sweep costs zero simulation.
+repeat of an already-served sweep costs zero simulation.  ``GET
+/results`` reads through one more, long-lived instance whose index each
+query refreshes with a tail read of the file.
 
 Cancellation rides the runner's own drain path: the per-cell progress
 callback raises :class:`KeyboardInterrupt` once a job's cancel flag is
@@ -163,6 +165,10 @@ class SweepService:
         self.metrics = MetricsRegistry()
         self._jobs: dict[str, SweepJob] = {}
         self._lock = threading.Lock()
+        #: The one store ``GET /results`` reads; its index is refreshed by
+        #: a tail read per query (queries run on executor threads).
+        self._reader = ResultsStore(store_path, fsync=False)
+        self._reader_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._executor = ThreadPoolExecutor(max_workers=max_concurrent,
                                             thread_name_prefix="sweep")
@@ -316,13 +322,14 @@ class SweepService:
                       variant: str | None = None,
                       fingerprint: str | None = None,
                       limit: int | None = None) -> list[dict]:
-        """Query the shared results store (see :meth:`ResultsStore.query`)."""
-        store = ResultsStore(self.store_path, fsync=False)
-        try:
-            return store.query(workload=workload, variant=variant,
-                               fingerprint=fingerprint, limit=limit)
-        finally:
-            store.close()
+        """Query the shared results store (see :meth:`ResultsStore.query`).
+
+        Served from one long-lived reader, so a query parses only the
+        records appended since the previous one.
+        """
+        with self._reader_lock:
+            return self._reader.query(workload=workload, variant=variant,
+                                      fingerprint=fingerprint, limit=limit)
 
     def metrics_snapshot(self) -> dict:
         """The ``GET /metrics`` payload: registry export plus live gauges."""

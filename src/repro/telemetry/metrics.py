@@ -24,6 +24,7 @@ store, so nothing downstream changes shape.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 #: Bumped whenever the exported metric record layout changes.
@@ -183,15 +184,26 @@ class MetricsRegistry:
     host identity -- two registries built from the same inputs are equal,
     which is what lets registry exports live inside byte-identical report
     artifacts.
+
+    Thread-safe to update and export: the service's sweep threads and its
+    asyncio thread share one registry, so :meth:`inc`, :meth:`set`,
+    :meth:`observe` (and the :meth:`_declare` they run) and :meth:`to_dict`
+    hold a lock.  Updates come once per run or request, never per
+    simulated micro-op, so the lock costs the simulator nothing.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        self._lock = threading.Lock()
 
     # -- declaration / update -------------------------------------------------------
 
     def _declare(self, name: str, kind: str, merge: str, labels: dict | None,
                  help: str, buckets: tuple = ()) -> Metric:
+        """The metric under ``name``/``labels``, created on first use.
+
+        Called with :attr:`_lock` held (check-then-insert on the table).
+        """
         key = _label_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
@@ -207,24 +219,25 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1, labels: dict | None = None,
             help: str = "") -> None:
         """Add ``amount`` to a counter (declared on first use)."""
-        metric = self._declare(name, "counter", "sum", labels, help)
-        metric.value += amount
+        with self._lock:
+            self._declare(name, "counter", "sum", labels, help).value += amount
 
     def set(self, name: str, value: float, merge: str = "last",
             labels: dict | None = None, help: str = "") -> None:
         """Set a gauge; ``merge`` declares how cross-window combination works."""
-        metric = self._declare(name, "gauge", merge, labels, help)
-        if merge == "mean":
-            metric.samples.append(value)
-        else:
-            metric.value = value
+        with self._lock:
+            metric = self._declare(name, "gauge", merge, labels, help)
+            if merge == "mean":
+                metric.samples.append(value)
+            else:
+                metric.value = value
 
     def observe(self, name: str, value: float, labels: dict | None = None,
                 buckets: tuple = (), help: str = "") -> None:
         """Record one sample into a histogram (declared on first use)."""
-        metric = self._declare(name, "histogram", "sum", labels, help,
-                               buckets=buckets)
-        metric.observe(value)
+        with self._lock:
+            self._declare(name, "histogram", "sum", labels, help,
+                          buckets=buckets).observe(value)
 
     def put(self, key: str, value: float) -> None:
         """Absorb one flat stat under the conventions of :func:`classify_stat`."""
@@ -313,10 +326,9 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict:
         """Schema-versioned export of every metric, in insertion order."""
-        return {
-            "schema": METRICS_SCHEMA_VERSION,
-            "metrics": [metric.to_dict() for metric in self._metrics.values()],
-        }
+        with self._lock:
+            metrics = [metric.to_dict() for metric in self._metrics.values()]
+        return {"schema": METRICS_SCHEMA_VERSION, "metrics": metrics}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsRegistry":

@@ -267,6 +267,83 @@ def test_lease_claim_is_exclusive_until_released(tmp_path, tiny_jobs, fake_clock
     assert b.claim(job) == "fresh"
 
 
+class Turns:
+    """Runs racing claimants' lease steps in one fixed global order.
+
+    Each paced store's lease reads (``_lease_state``: the check, then the
+    verify) and its append wait until their owner is next in ``order``.
+    """
+
+    def __init__(self, order: str) -> None:
+        self.order = list(order)
+        self.cond = threading.Condition()
+
+    def pace(self, store: ResultsStore, method: str) -> None:
+        original = getattr(store, method)
+
+        def step(*args, **kwargs):
+            with self.cond:
+                assert self.cond.wait_for(
+                    lambda: self.order[:1] == [store.owner], timeout=10.0)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                with self.cond:
+                    self.order.pop(0)
+                    self.cond.notify_all()
+
+        setattr(store, method, step)
+
+
+@pytest.mark.parametrize("order", ["ababab", "abaabb"],
+                         ids=["check-check-append-append-verify-verify",
+                              "second-appends-after-first-verified"])
+def test_racing_claims_have_exactly_one_winner(tmp_path, tiny_jobs, fake_clock,
+                                               order):
+    """Both claimants pass the check; the first claim line wins the cell.
+
+    In the second interleaving ``a`` verifies before ``b`` appends: a
+    last-claim-wins fold granted the cell to both of them there.
+    """
+    path = tmp_path / "results.jsonl"
+    job = tiny_jobs[0]
+    turns = Turns(order)
+    stores = [ResultsStore(path, owner=name, clock=fake_clock, lease_ttl=10.0)
+              for name in "ab"]
+    for store in stores:
+        turns.pace(store, "_lease_state")
+        turns.pace(store, "_append_lease")
+    grants = {}
+    threads = [threading.Thread(
+        target=lambda store=store: grants.update({store.owner: store.claim(job)}))
+        for store in stores]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert turns.order == []
+    assert grants == {"a": "fresh", "b": None}
+    assert ResultsStore(path, clock=fake_clock).lease_holder(job)["owner"] == "a"
+    assert stores[1].owned_leases == set()
+
+
+def test_own_claim_refreshes_the_lease(tmp_path, tiny_jobs, fake_clock):
+    clock = fake_clock
+    path = tmp_path / "results.jsonl"
+    a = ResultsStore(path, owner="a", clock=clock, lease_ttl=10.0)
+    b = ResultsStore(path, owner="b", clock=clock, lease_ttl=10.0)
+    job = tiny_jobs[0]
+    assert a.claim(job) == "fresh"
+    clock.now += 8.0
+    assert a.claim(job) == "fresh"  # still ours: the expiry moves on
+    assert b.lease_holder(job)["expires"] == clock.now + 10.0
+    clock.now += 8.0  # past the first expiry, inside the refreshed one
+    assert b.claim(job) is None
+    clock.now += 3.0
+    assert b.claim(job) == "reclaimed"
+
+
 def test_stale_lease_is_reclaimed_and_heartbeat_prevents_it(
         tmp_path, tiny_jobs, fake_clock):
     clock = fake_clock

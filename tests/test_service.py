@@ -144,6 +144,9 @@ def test_health_and_metrics_endpoints(server):
 
 def test_submit_stream_status_report_and_results(server, tiny_spec):
     client = client_for(server)
+    # Read before any record exists: the same long-lived reader must pick
+    # up the sweep's records below.
+    assert client.results()["count"] == 0
     sweep = client.submit(schemas.spec_to_dict(tiny_spec))
     assert sweep["id"].startswith("sweep-")
     assert sweep["state"] in ("queued", "running")

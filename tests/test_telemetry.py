@@ -18,6 +18,8 @@ Four contracts, in the order the telemetry stack layers them:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import xml.dom.minidom
 
 import pytest
@@ -133,6 +135,38 @@ def test_registry_from_stats_skip_matches_window_local_convention():
     registry = MetricsRegistry.from_stats(stats, skip=("first_commit_cycle",))
     assert "first_commit_cycle" not in registry.as_stats()
     assert registry.as_stats()["cycles"] == 100
+
+
+def test_registry_counts_exactly_under_thread_contention():
+    """8 threads x 5,000 ``inc`` calls, racing to declare the same metrics.
+
+    The service's sweep threads and its asyncio thread share one registry;
+    a thread switch inside an unlocked check-then-declare drops a metric
+    another thread already counted into, which the tiny switch interval
+    makes near certain.
+    """
+    registry = MetricsRegistry()
+    start = threading.Barrier(8)
+
+    def hammer() -> None:
+        start.wait(timeout=30.0)
+        for index in range(5_000):
+            registry.inc("service_requests_total",
+                         labels={"route": f"GET /r{index % 500}"})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(registry) == 500
+    assert sum(metric.value for metric in registry.metrics()) == 8 * 5_000
 
 
 def test_core_metrics_view_matches_result_stats():
