@@ -4,9 +4,9 @@ Every job of a sweep that shares a workload replays the *identical* dynamic
 trace (traces are deterministic in ``(workload, max_ops, seed)``), so the
 functional executor only needs to run once per workload -- not once per
 job.  :class:`TraceCache` materialises traces as pickle files under a cache
-directory; the sweep runner warms it in the parent process and the worker
-processes then read the trace from disk instead of re-executing the
-workload.
+directory; the sweep runner warms it in the parent process, in-process jobs
+replay the traces that warming returned, and pool worker processes read
+them from disk instead of re-executing the workload.
 
 Two-speed (sampled) sweeps cache :class:`~repro.pipeline.sampling
 .SamplePlan` objects the same way -- the checkpoint farm: one functional
@@ -175,21 +175,15 @@ class TraceCache:
         self.put(workload, max_ops, seed, trace)
         return trace
 
-    def warm(self, keys) -> tuple[int, int]:
+    def warm(self, keys) -> dict[tuple[str, int, int], Trace]:
         """Materialise every distinct ``(workload, max_ops, seed)`` in ``keys``.
 
-        Returns ``(generated, reused)`` counts -- the acceptance check for
-        "the executor ran once per workload" in sweeps.
+        Returns the traces by key, in first-seen order.  ``stats.hits``
+        counts the ones read back from the cache; the executor built the
+        rest -- the acceptance check for "the executor ran once per
+        workload" in sweeps.
         """
-        generated = reused = 0
-        for workload, max_ops, seed in dict.fromkeys(keys):
-            before = self.stats.generated
-            self.get_or_generate(workload, max_ops, seed)
-            if self.stats.generated > before:
-                generated += 1
-            else:
-                reused += 1
-        return generated, reused
+        return {key: self.get_or_generate(*key) for key in dict.fromkeys(keys)}
 
     # -- sample plans (checkpoint farm) -----------------------------------------------
 
@@ -263,32 +257,28 @@ class TraceCache:
         self.put_plan(workload, max_ops, seed, simulator, plan)
         return plan
 
-    def warm_plans(self, keys, simulator, lenient: bool = False) -> tuple[int, int]:
+    def warm_plans(self, keys, simulator, lenient: bool = False) -> dict:
         """Materialise the sample plan of every distinct trace key in ``keys``.
 
-        Returns ``(generated, reused)`` counts -- the acceptance check for
-        "the warmup ran once per workload" in checkpoint-farm sweeps.
+        Returns the plans by key, in first-seen order.  ``stats.hits``
+        counts the ones read back from the cache; the planning pass built
+        the rest -- the acceptance check for "the warmup ran once per
+        workload" in checkpoint-farm sweeps.
 
         ``lenient`` swallows planning failures (a workload that halts
-        before its first window, a budget below the warmup): the sweep
-        runner uses it so such a workload fails *its own jobs* with the
-        real error -- the job-side fallback re-plans and reports it --
-        instead of aborting the whole sweep from the parent.
+        before its first window, a budget below the warmup) and leaves the
+        key out: the sweep runner uses it so such a workload fails *its own
+        jobs* with the real error -- the job-side fallback re-plans and
+        reports it -- instead of aborting the whole sweep from the parent.
         """
-        generated = reused = 0
-        for workload, max_ops, seed in dict.fromkeys(keys):
-            before = self.stats.generated
+        plans = {}
+        for key in dict.fromkeys(keys):
             try:
-                self.get_or_plan(workload, max_ops, seed, simulator)
+                plans[key] = self.get_or_plan(*key, simulator)
             except Exception:
                 if not lenient:
                     raise
-                continue
-            if self.stats.generated > before:
-                generated += 1
-            else:
-                reused += 1
-        return generated, reused
+        return plans
 
     # -- provider hook --------------------------------------------------------------
 

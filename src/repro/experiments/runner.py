@@ -12,14 +12,15 @@ keeps failing past the bounded :class:`~repro.experiments.scheduler
 the sweep, so a 100-job matrix with one pathological cell still yields 99
 rows and **no cell is ever silently lost**.
 
-Workers never re-run the functional executor when a trace cache directory
-is provided: the parent warms the cache (one execution per distinct
-``(workload, max_ops, seed)``), each worker memory-maps the pickled trace
-from disk, and a per-process memo keeps a worker from re-reading the same
-pickle for every job it executes.  When no cache directory is given, a
-sweep that would otherwise rebuild the same trace per worker (or, run
-in-process, per job) gets an *ephemeral* cache for the duration of the
-call, so the executor still runs exactly once per workload.
+Jobs never re-run the functional executor for a trace the sweep already
+built: :func:`run_sweep` warms each distinct ``(workload, max_ops, seed)``
+once, before any job starts.  In-process runs take the warmed trace from an
+in-memory mapping keyed by :attr:`~repro.experiments.grid.Job.trace_key`,
+so nothing is pickled (a caller-supplied cache directory is still read and
+written while warming).  Pool workers are other processes: they read the
+pickled trace from the cache directory -- an *ephemeral* one for the
+duration of the call when the caller gave none -- and a per-process memo
+keeps a worker from re-reading the same pickle for every job it executes.
 
 Two-speed (sampled) sweeps go one step further -- the **checkpoint farm**:
 the parent runs the scheme-independent planning pass (functional
@@ -124,8 +125,8 @@ def _phase(logger, name: str, **fields):
 
 #: Per-process read memos: a pool worker executes many jobs on the same few
 #: workloads, so re-reading the pickled trace/plan for every job is wasted
-#: I/O.  Bounded (cleared wholesale when full) because the parent process
-#: may run many sweeps in one session.
+#: I/O.  Bounded (cleared wholesale when full) because a process may run
+#: many sweeps in one session.
 _TRACE_MEMO: dict = {}
 _PLAN_MEMO: dict = {}
 _MEMO_LIMIT = 32
@@ -164,12 +165,17 @@ def _load_plan(job: Job, cache_root: str, simulator: SampledSimulator):
 
 def _execute_job(payload: tuple[Job, str | None, object | None, bool]
                  ) -> tuple[bool, SimulationResult | None, str | None, float]:
-    """Worker entry point (module-level so it pickles under every start method)."""
-    job, cache_root, plan, farm = payload
+    """Worker entry point (module-level so it pickles under every start method).
+
+    ``warmed`` is the job's trace or sample plan when this process warmed
+    it; otherwise the job loads it from ``cache_root`` or builds it.
+    """
+    job, cache_root, warmed, farm = payload
     start = time.perf_counter()
     try:
         if job.sampling is not None:
             simulator = SampledSimulator(job.config, job.sampling)
+            plan = warmed
             if farm and plan is None and cache_root is not None:
                 plan = _load_plan(job, cache_root, simulator)
             if plan is not None \
@@ -185,7 +191,7 @@ def _execute_job(payload: tuple[Job, str | None, object | None, bool]
                 result = simulator.run_workload(job.workload, max_ops=job.max_ops,
                                                 seed=job.seed)
         else:
-            trace = _load_trace(job, cache_root)
+            trace = warmed if warmed is not None else _load_trace(job, cache_root)
             result = simulate_trace(trace, job.config)
         return True, result, None, time.perf_counter() - start
     except Exception:
@@ -195,7 +201,7 @@ def _execute_job(payload: tuple[Job, str | None, object | None, bool]
 def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
              cache_dir: str | None = None,
              progress: ProgressCallback | None = None,
-             plans: dict | None = None, farm: bool = True,
+             warmed: dict | None = None, farm: bool = True,
              store=None, logger=None,
              fault_plan: FaultPlan | None = None,
              retry: RetryPolicy | None = None,
@@ -214,11 +220,13 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
     would fail identically).  ``KeyboardInterrupt`` drains already-finished
     cells (so a store keeps them) and re-raises.
 
-    ``plans`` maps :attr:`Job.trace_key` to a pre-computed
-    :class:`~repro.pipeline.sampling.SamplePlan` for sampled jobs (the
-    in-process checkpoint farm).  Pool workers ignore it -- shipping the
-    recorded window traces through pickle per job would cost more than it
-    saves -- and read plans from ``cache_dir`` instead.
+    ``warmed`` maps :attr:`Job.trace_key` to the object this process
+    already warmed for it: the full-detail
+    :class:`~repro.isa.executor.Trace`, or the checkpoint farm's
+    :class:`~repro.pipeline.sampling.SamplePlan` for sampled jobs.
+    In-process jobs run from it as is.  Pool workers ignore it -- shipping
+    traces through pickle per job would cost more than it saves -- and
+    read from ``cache_dir`` instead.
 
     ``store`` is an optional :class:`~repro.paper.store.ResultsStore`:
     jobs it already holds are returned immediately (``from_store=True``)
@@ -242,8 +250,9 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
     if store is not None:
         return _run_jobs_resumable(jobs, store, workers=workers,
                                    timeout=timeout, cache_dir=cache_dir,
-                                   progress=progress, plans=plans, farm=farm,
-                                   logger=logger, fault_plan=fault_plan,
+                                   progress=progress, warmed=warmed,
+                                   farm=farm, logger=logger,
+                                   fault_plan=fault_plan,
                                    retry=retry, stats=stats)
     cache_root = str(cache_dir) if cache_dir is not None else None
     total = len(jobs)
@@ -262,7 +271,7 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
         backend = InProcessScheduler(_execute_job, retry=retry,
                                      fault_plan=fault_plan, logger=logger,
                                      stats=stats)
-        backend.run(jobs, cache_root=cache_root, plans=plans, farm=farm,
+        backend.run(jobs, cache_root=cache_root, warmed=warmed, farm=farm,
                     deliver=_deliver)
     else:
         backend = ProcessPoolScheduler(min(workers, total), _execute_job,
@@ -310,7 +319,7 @@ def _record_with_repair(store, job_result: JobResult,
 def _run_jobs_resumable(jobs: list[Job], store, workers: int,
                         timeout: float | None, cache_dir: str | None,
                         progress: ProgressCallback | None,
-                        plans: dict | None, farm: bool, logger=None,
+                        warmed: dict | None, farm: bool, logger=None,
                         fault_plan: FaultPlan | None = None,
                         retry: RetryPolicy | None = None,
                         stats: ReliabilityStats | None = None) -> list[JobResult]:
@@ -387,7 +396,7 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
         def _run_claimed(claimed: list[Job]) -> list[JobResult]:
             return run_jobs(claimed, workers=workers, timeout=timeout,
                             cache_dir=cache_dir, progress=_record_and_report,
-                            plans=plans, farm=farm, logger=logger,
+                            warmed=warmed, farm=farm, logger=logger,
                             fault_plan=fault_plan, retry=retry, stats=stats)
 
         for (index, _job), job_result in zip(mine, _run_claimed(
@@ -466,11 +475,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
               fault_plan: FaultPlan | None = None,
               retry: RetryPolicy | None = None,
               stats: ReliabilityStats | None = None) -> SweepReport:
-    """Expand ``spec``, warm the cache/farm, run the scheduler, aggregate.
+    """Expand ``spec``, warm its traces or plans, run the scheduler, aggregate.
 
     Full-detail sweeps materialise each distinct trace exactly once before
-    any worker starts -- in ``cache_dir`` when given, or in an ephemeral
-    cache when several pool workers would otherwise each rebuild it.
+    any job starts.  In-process runs (``workers <= 1``) keep the warmed
+    traces in memory and hand each job the one it replays; with a
+    ``cache_dir`` they are still read from or written to that cache while
+    warming.  Pool runs leave the traces in ``cache_dir`` -- or in an
+    ephemeral cache for the duration of the call -- for their workers to
+    read.  Without a ``cache_dir``, a trace that only one job replays is
+    left to that job.
 
     Sampled sweeps run the shared-warmup checkpoint farm the same way:
     one planning pass per workload in the parent, executed by every scheme
@@ -509,63 +523,60 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
         pending = [job for job in jobs if not store.has(job)]
     else:
         pending = jobs
-    pending_traces = len({job.trace_key for job in pending})
+    keys = list(dict.fromkeys(job.trace_key for job in pending))
     sampling = spec.sampling_config()
+    if sampling is None:
+        warm = cache_dir is not None or len(pending) > len(keys)
+    else:
+        warm = farm and spec.warm_homogeneous() \
+            and (cache_dir is not None or bool(pending))
+    pool = workers > 1 and len(pending) > 1
     cache_stats: dict[str, int] = {}
-    plans: dict | None = None
+    warmed: dict = {}
     ephemeral_dir: str | None = None
     effective_cache_dir = cache_dir
     try:
-        if sampling is None:
-            if cache_dir is not None:
-                cache = TraceCache(cache_dir)
-                with _phase(logger, "trace_build", traces=pending_traces):
-                    generated, reused = cache.warm(job.trace_key for job in pending)
-                cache_stats = {"traces_generated": generated, "traces_reused": reused,
-                               **cache.stats.as_dict()}
-            elif len(pending) > pending_traces:
-                # Deduplicate trace builds: without a cache every pool
-                # worker -- and, in-process, every job sharing a workload
-                # -- would re-execute the functional executor.  An
-                # ephemeral cache keeps the executor at one run per
-                # workload either way (serial jobs after the first hit the
-                # per-process read memo, not even the disk).
+        if warm:
+            if cache_dir is None and pool:
+                # Pool workers are other processes: they read what the
+                # parent warmed from a cache that lives for this call.
                 ephemeral_dir = tempfile.mkdtemp(prefix="repro-sweep-cache-")
-                with _phase(logger, "trace_build", traces=pending_traces):
-                    TraceCache(ephemeral_dir).warm(job.trace_key for job in pending)
                 effective_cache_dir = ephemeral_dir
-        elif farm and spec.warm_homogeneous():
-            simulator = SampledSimulator(spec.base_config, sampling)
-            keys = [job.trace_key for job in pending]
+            cache = (TraceCache(effective_cache_dir)
+                     if effective_cache_dir is not None else None)
+            if sampling is None:
+                with _phase(logger, "trace_build", traces=len(keys)):
+                    warmed = cache.warm(keys) if cache is not None else {
+                        key: materialize_trace(*key) for key in keys}
+            else:
+                simulator = SampledSimulator(spec.base_config, sampling)
+                with _phase(logger, "plan", plans=len(keys)):
+                    if cache is not None:
+                        warmed = cache.warm_plans(keys, simulator, lenient=True)
+                    else:
+                        for key in keys:
+                            workload, max_ops, seed = key
+                            try:
+                                image = build_workload(workload, seed=seed)
+                                warmed[key] = simulator.plan(
+                                    image, workload, max_ops, workload=workload)
+                            except Exception:
+                                # The job-side fallback reproduces and
+                                # reports it.
+                                continue
             if cache_dir is not None:
-                cache = TraceCache(cache_dir)
-                with _phase(logger, "plan", plans=len(set(keys))):
-                    generated, reused = cache.warm_plans(keys, simulator,
-                                                         lenient=True)
-                cache_stats = {"plans_generated": generated, "plans_reused": reused,
-                               **cache.stats.as_dict()}
-            elif workers > 1 and pending:
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-sweep-farm-")
-                with _phase(logger, "plan", plans=len(set(keys))):
-                    TraceCache(ephemeral_dir).warm_plans(keys, simulator,
-                                                         lenient=True)
-                effective_cache_dir = ephemeral_dir
-            elif pending:
-                plans = {}
-                with _phase(logger, "plan", plans=len(dict.fromkeys(keys))):
-                    for key in dict.fromkeys(keys):
-                        workload, max_ops, seed = key
-                        try:
-                            image = build_workload(workload, seed=seed)
-                            plans[key] = simulator.plan(image, workload, max_ops,
-                                                        workload=workload)
-                        except Exception:
-                            # The job-side fallback reproduces and reports it.
-                            continue
+                kind = "traces" if sampling is None else "plans"
+                reused = cache.stats.hits
+                cache_stats = {f"{kind}_generated": len(warmed) - reused,
+                               f"{kind}_reused": reused, **cache.stats.as_dict()}
+            if pool:
+                # Workers load their own copies; the parent need not hold
+                # every warmed object while they run.
+                warmed = {}
         with _phase(logger, "execute", jobs=len(jobs)):
             results = run_jobs(jobs, workers=workers, timeout=timeout,
                                cache_dir=effective_cache_dir, progress=progress,
-                               plans=plans, farm=farm, store=store,
+                               warmed=warmed, farm=farm, store=store,
                                logger=logger, fault_plan=fault_plan,
                                retry=retry, stats=stats)
     finally:

@@ -175,8 +175,9 @@ class InProcessScheduler:
         self.stats = stats if stats is not None else ReliabilityStats()
         self._sleep = sleep
 
-    def run(self, jobs, cache_root: str | None = None, plans: dict | None = None,
+    def run(self, jobs, cache_root: str | None = None, warmed: dict | None = None,
             farm: bool = True, deliver: DeliverCallback | None = None) -> None:
+        warmed = warmed or {}
         for index, job in enumerate(jobs):
             attempt = 1
             while True:
@@ -184,9 +185,8 @@ class InProcessScheduler:
                 try:
                     if self.fault_plan is not None:
                         self.fault_plan.trip(job.job_id, attempt, in_process=True)
-                    plan = plans.get(job.trace_key) if plans else None
                     ok, result, error, elapsed = self.execute(
-                        (job, cache_root, plan, farm))
+                        (job, cache_root, warmed.get(job.trace_key), farm))
                 except TransientFault as exc:
                     self.stats.transient_faults += 1
                     if attempt < self.retry.max_attempts:
@@ -312,12 +312,12 @@ class ProcessPoolScheduler:
 
     # -- the dispatch loop ------------------------------------------------------------
 
-    def run(self, jobs, cache_root: str | None = None, plans: dict | None = None,
+    def run(self, jobs, cache_root: str | None = None, warmed: dict | None = None,
             farm: bool = True, deliver: DeliverCallback | None = None) -> None:
-        # ``plans`` is accepted for interface parity but unused: shipping
-        # recorded window traces through a pipe per job costs more than it
-        # saves, so pool workers read plans from the cache directory.
-        del plans
+        # ``warmed`` is accepted for interface parity but unused: shipping
+        # traces and recorded windows through a pipe per job costs more
+        # than it saves, so pool workers read them from the cache directory.
+        del warmed
         total = len(jobs)
         #: (not_before, index, attempt) -- min-heap on dispatch eligibility.
         ready: list[tuple[float, int, int]] = [(0.0, i, 1) for i in range(total)]

@@ -44,8 +44,11 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        # Every access needs the geometry; read it once, not per access.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
         # Each set is an insertion-ordered dict {tag: dirty} used as an LRU list.
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(config.num_sets)]
+        self._sets: list[dict[int, bool]] = [dict() for _ in range(self._num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -55,12 +58,13 @@ class SetAssociativeCache:
     # -- address helpers ----------------------------------------------------------
 
     def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = address // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     def line_address(self, address: int) -> int:
         """Return the address of the first byte of the line containing ``address``."""
-        return (address // self.config.line_bytes) * self.config.line_bytes
+        line_bytes = self._line_bytes
+        return (address // line_bytes) * line_bytes
 
     # -- operations ---------------------------------------------------------------
 

@@ -6,11 +6,14 @@ Run from the repository root::
 
 Only regenerate when a workload's program or the sweep table format has
 *intentionally* changed; an unexpected diff in these files means functional
-semantics drifted.
+semantics drifted.  ``long_references.json`` also pins the timing of two
+1M-op full-detail runs, so it changes whenever the simulated machine does;
+CI recomputes it and diffs it against the committed file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -56,6 +59,37 @@ def regenerate_sweep_snapshot() -> None:
     print(f"wrote {path}")
 
 
+def regenerate_long_references(max_ops: int = 1_000_000, seed: int = 1) -> None:
+    """Pin the full-detail ``(instructions, cycles)`` that the error-budget
+    test of ``tests/test_differential.py`` compares sampled runs against."""
+    from repro.experiments.grid import SCHEME_PRESETS
+    from repro.pipeline.config import CoreConfig
+    from repro.pipeline.core import simulate_trace
+    from repro.workloads import generate_trace
+
+    # The isrb machine of that test: preset sizing, ME + SMB on.
+    preset = SCHEME_PRESETS["isrb"]
+    config = (CoreConfig()
+              .with_tracker(scheme=preset["scheme"], entries=preset["entries"],
+                            counter_bits=preset["counter_bits"])
+              .with_move_elimination()
+              .with_smb())
+    references = {}
+    for workload in ("long_phase_mix", "long_stride_drift"):
+        trace = generate_trace(workload, max_ops=max_ops, seed=seed)
+        full = simulate_trace(trace, config)
+        references[workload] = {"instructions": full.instructions,
+                                "cycles": full.cycles}
+    # The machine's hash ties the pinned timings to the config they ran on.
+    machine = hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+    payload = {"machine": machine, "max_ops": max_ops, "seed": seed,
+               "workloads": references}
+    path = GOLDEN_DIR / "long_references.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path} ({len(references)} workloads)")
+
+
 if __name__ == "__main__":
     regenerate_state_digests()
     regenerate_sweep_snapshot()
+    regenerate_long_references()

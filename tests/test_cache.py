@@ -49,11 +49,15 @@ def test_warm_generates_each_distinct_trace_once(tmp_path):
     cache = TraceCache(tmp_path)
     keys = [("move_chain", 300, 1), ("spill_reload", 300, 1),
             ("move_chain", 300, 1), ("move_chain", 300, 1)]
-    generated, reused = cache.warm(keys)
-    assert (generated, reused) == (2, 0)
+    warmed = cache.warm(keys)
+    assert list(warmed) == [("move_chain", 300, 1), ("spill_reload", 300, 1)]
+    assert (cache.stats.generated, cache.stats.hits) == (2, 0)
     # A second warm of the same keys reuses everything.
-    generated, reused = TraceCache(tmp_path).warm(keys)
-    assert (generated, reused) == (0, 2)
+    again = TraceCache(tmp_path)
+    rewarmed = again.warm(keys)
+    assert (again.stats.generated, again.stats.hits) == (0, 2)
+    assert [len(trace) for trace in rewarmed.values()] \
+        == [len(trace) for trace in warmed.values()]
 
 
 def test_installed_cache_intercepts_generate_trace(tmp_path):

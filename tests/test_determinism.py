@@ -25,10 +25,18 @@ def test_run_sweep_twice_is_byte_identical(small_spec):
     assert first.to_json() == second.to_json()
 
 
-def test_pool_size_does_not_change_artifact(small_spec, tmp_path):
-    # Fresh cache directory per run so cache statistics are identical too.
-    serial = run_sweep(small_spec, workers=1, cache_dir=str(tmp_path / "serial"))
-    parallel = run_sweep(small_spec, workers=3, cache_dir=str(tmp_path / "parallel"))
+@pytest.mark.parametrize("cached", [True, False],
+                         ids=["cache_dir", "no_cache_dir"])
+def test_pool_size_does_not_change_artifact(small_spec, tmp_path, cached):
+    """Serial and pool runs write the same bytes.  Without a cache dir the
+    serial run hands its traces over in memory and the pool reads them from
+    an ephemeral cache; with one, both go through a fresh cache directory
+    per run, so cache statistics are identical too."""
+    def cache_dir(name: str) -> str | None:
+        return str(tmp_path / name) if cached else None
+
+    serial = run_sweep(small_spec, workers=1, cache_dir=cache_dir("serial"))
+    parallel = run_sweep(small_spec, workers=3, cache_dir=cache_dir("parallel"))
     assert serial.to_json() == parallel.to_json()
 
 

@@ -216,17 +216,30 @@ def test_sampled_ipc_tracks_full_run_per_workload(workload):
 #: stride pattern the stopping rule quits early on, and a phase-heavy mix
 #: that drives it to its window ceiling.
 _ERROR_BUDGET_WORKLOADS = ("long_phase_mix", "long_stride_drift")
+#: Their full-detail ``(instructions, cycles)`` under the isrb machine.
+LONG_REFERENCES_PATH = Path(__file__).parent / "golden" / "long_references.json"
 
 
 def test_error_budget_holds_two_percent_on_long_workloads():
     """Error-budget sampling at +/-2% stays within 2% of the full-detail
     IPC on >=1M-op workloads, and spends fewer detailed micro-ops
-    (geomean) than the fixed default geometry."""
+    (geomean) than the fixed default geometry.
+
+    The full-detail runs are pinned in ``golden/long_references.json``
+    (``regenerate_long_references`` in ``golden/regenerate.py``); CI
+    re-simulates them and diffs the file, so a timing change still fails
+    until the references are regenerated on purpose."""
+    import hashlib
     import math
 
     from repro.pipeline.sampling import SampledSimulator, SamplingConfig
 
     config = _scheme_configs()["isrb"]
+    references = json.loads(LONG_REFERENCES_PATH.read_text())
+    assert references["machine"] \
+        == hashlib.sha256(repr(config).encode()).hexdigest()[:12], (
+        "long_references.json was pinned on another machine; regenerate it")
+    assert (references["max_ops"], references["seed"]) == (1_000_000, SEED)
     fixed_geometry = SamplingConfig()
     budget = SamplingConfig(tolerance=0.02)
 
@@ -237,14 +250,13 @@ def test_error_budget_holds_two_percent_on_long_workloads():
 
     adaptive_detail, fixed_detail = [], []
     for workload in _ERROR_BUDGET_WORKLOADS:
-        trace = generate_trace(workload, max_ops=1_000_000, seed=SEED)
-        full = simulate_trace(trace, config)
+        full = references["workloads"][workload]
         fixed = SampledSimulator(config, fixed_geometry).run_workload(
             workload, max_ops=1_000_000, seed=SEED)
         adaptive = SampledSimulator(config, budget).run_workload(
             workload, max_ops=1_000_000, seed=SEED)
-        assert adaptive.instructions == full.instructions
-        ratio = adaptive.ipc / full.ipc
+        assert adaptive.instructions == full["instructions"]
+        ratio = adaptive.ipc / (full["instructions"] / full["cycles"])
         assert abs(ratio - 1.0) <= 0.02, (
             f"{workload}: error-budget IPC ratio {ratio:.4f} outside +/-2%")
         adaptive_detail.append(detailed_ops(adaptive))

@@ -124,8 +124,11 @@ def test_warm_plans_counts_generated_and_reused(tmp_path):
     simulator = SampledSimulator(CoreConfig(), SAMPLING)
     keys = [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1),
             ("move_chain", 2_000, 1)]
-    assert cache.warm_plans(keys, simulator) == (2, 0)
-    assert cache.warm_plans(keys, simulator) == (0, 2)
+    plans = cache.warm_plans(keys, simulator)
+    assert list(plans) == [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1)]
+    assert (cache.stats.generated, cache.stats.hits) == (2, 0)
+    assert cache.warm_plans(keys, simulator) == plans
+    assert (cache.stats.generated, cache.stats.hits) == (2, 2)
 
 
 def test_plan_cache_key_separates_machines():

@@ -1,9 +1,16 @@
 """Parallel runner round-trip and partial-failure tests."""
 
 import dataclasses
+import gc
+import tempfile
+from collections import Counter
 
+from repro.experiments import cache as cache_module
+from repro.experiments import runner
+from repro.experiments.cache import TraceCache
 from repro.experiments.grid import SweepSpec
 from repro.experiments.runner import run_jobs, run_sweep
+from repro.isa.executor import Trace
 
 
 def small_spec(**overrides):
@@ -56,8 +63,6 @@ def test_run_sweep_uses_the_trace_cache_once_per_workload(tmp_path):
 
 
 def test_run_jobs_with_cold_cache_writes_the_trace_back(tmp_path):
-    from repro.experiments.cache import TraceCache
-
     jobs = small_spec().expand()
     cache = TraceCache(tmp_path / "cold")
     assert cache.get(*jobs[0].trace_key) is None
@@ -72,3 +77,41 @@ def test_progress_callback_sees_every_job(tmp_path):
     run_jobs(jobs, workers=1, cache_dir=str(tmp_path),
              progress=lambda done, total, result: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
+
+
+def test_in_process_sweep_hands_traces_over_in_memory(monkeypatch):
+    """An in-process sweep without a cache dir builds each trace once,
+    never pickles it or makes a temp dir, and keeps no trace alive once
+    it returns."""
+    # An op count no other test uses, so traces that other tests leave
+    # alive (memoized 800-op ones, say) are not counted below.
+    max_ops = 640
+    workloads = ("spill_reload", "move_chain")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an in-process sweep must not touch the disk")
+
+    built = Counter()
+    materialize = runner.materialize_trace
+
+    def counting(name, *args, **kwargs):
+        built[name] += 1
+        return materialize(name, *args, **kwargs)
+
+    monkeypatch.setattr(TraceCache, "put", refuse)
+    monkeypatch.setattr(TraceCache, "get", refuse)
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    for module in (runner, cache_module):
+        monkeypatch.setattr(module, "materialize_trace", counting)
+    spec = SweepSpec(schemes=("isrb", "refcount_checkpoint"),
+                     workloads=workloads, max_ops=max_ops)
+    report = run_sweep(spec, workers=1, cache_dir=None)
+    assert not report.failures
+    assert report.meta["jobs"] == 6
+    assert built == {workload: 1 for workload in workloads}
+
+    gc.collect()
+    alive = [obj for obj in gc.get_objects()
+             if isinstance(obj, Trace) and obj.name in workloads
+             and len(obj) == max_ops]
+    assert alive == []
