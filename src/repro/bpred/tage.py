@@ -2,9 +2,12 @@
 
 The paper's front end uses a 1+12-component TAGE predictor [Seznec &
 Michaud, 2006] with roughly 15K entries and a 20-cycle minimum misprediction
-penalty.  The same TAGE machinery is reused (with different payloads) by the
-Instruction Distance predictor in :mod:`repro.core.distance`, so this module
-keeps the classic prediction/update algorithm:
+penalty.  The model's default :class:`TageConfig` is smaller: a base table
+and six tagged components (9,216 entries) whose longest history, 130 bits,
+fits the core's 256-bit global history register.  The same TAGE machinery
+is reused (with different payloads) by the Instruction Distance predictor
+in :mod:`repro.core.distance`, so this module keeps the classic
+prediction/update algorithm:
 
 * the *base* component is a direct-mapped table of bimodal counters;
 * each *tagged* component is indexed by a hash of the PC, a geometric number
@@ -14,11 +17,20 @@ keeps the classic prediction/update algorithm:
   longest (or the base) provides the alternate prediction;
 * on a misprediction, an entry is allocated in a longer-history component
   whose useful counter is zero.
+
+Each tagged component keeps its state in four flat lists indexed by entry
+(tag, counter, useful, valid) rather than one object per entry: every
+:class:`~repro.pipeline.core.Core` builds a fresh predictor, so per-entry
+objects would hand thousands of containers to the garbage collector per
+core, and a snapshot would copy them one by one.  Index and tag widths and
+each component's history mask are fixed at construction, so a lookup reads
+the history and path registers once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.hashing import mix_hash, tag_hash
 from repro.common.history import PathHistory, ShiftHistory
@@ -59,17 +71,6 @@ class TageConfig:
     useful_bits: int = 2
     useful_reset_period: int = 256 * 1024
 
-    @classmethod
-    def table1(cls) -> "TageConfig":
-        """The 1+12 component configuration of the paper's Table 1 (about 15K entries)."""
-        histories = (4, 6, 10, 16, 25, 40, 64, 101, 160, 254, 403, 640)
-        components = []
-        for rank, history in enumerate(histories):
-            entries = 1024 if rank < 8 else 512
-            tag_bits = 8 + min(rank, 6)
-            components.append(TageComponentConfig(entries, tag_bits, history))
-        return cls(base_entries=4096, components=tuple(components))
-
     @property
     def total_entries(self) -> int:
         """Total number of entries across the base and tagged components."""
@@ -81,24 +82,14 @@ class TageConfig:
         return max(component.history_bits for component in self.components)
 
 
-@dataclass
-class _TaggedEntry:
-    """One entry of a tagged component."""
-
-    tag: int = 0
-    counter: int = 0
-    useful: int = 0
-    valid: bool = False
-
-
-@dataclass(frozen=True)
-class TagePrediction:
+class TagePrediction(NamedTuple):
     """The outcome of a TAGE lookup, kept until the branch resolves.
 
-    The pipeline carries this object from fetch to execute so that
+    The pipeline carries this record from fetch to execute so that
     :meth:`TageBranchPredictor.update` can be fed exactly the state used for
     the prediction (indices and tags would otherwise have to be recomputed
-    with a stale history).
+    with a stale history).  An immutable tuple: one is built per predicted
+    branch.
     """
 
     taken: bool
@@ -118,98 +109,95 @@ class TageBranchPredictor:
 
     def __init__(self, config: TageConfig | None = None) -> None:
         self.config = config or TageConfig()
-        half = 1 << (self.config.counter_bits - 1)
-        self._counter_max = (1 << self.config.counter_bits) - 1
+        config = self.config
+        half = 1 << (config.counter_bits - 1)
+        self._counter_max = (1 << config.counter_bits) - 1
         self._counter_weakly_taken = half
-        self._useful_max = (1 << self.config.useful_bits) - 1
-        self._base = [half] * self.config.base_entries
-        self._tables: list[list[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(component.entries)]
-            for component in self.config.components
-        ]
-        self._lookups = 0
+        self._useful_max = (1 << config.useful_bits) - 1
+        self._path_mask = (1 << config.path_bits) - 1
+        # (history mask, history bits, index bits, tag bits) per component.
+        # History registers never hold bits above their own length, so the
+        # unclamped mask reads exactly the bits a clamped one would.
+        self._geometry = tuple(
+            ((1 << component.history_bits) - 1, component.history_bits,
+             component.entries.bit_length() - 1, component.tag_bits)
+            for component in config.components)
+        self._base = [half] * config.base_entries
+        entries = [component.entries for component in config.components]
+        self._tags = [[0] * count for count in entries]
+        self._counters = [[0] * count for count in entries]
+        self._useful = [[0] * count for count in entries]
+        self._valid = [[False] * count for count in entries]
         self._allocation_clock = 0
 
     # -- prediction ---------------------------------------------------------------
 
     def predict(self, pc: int, history: ShiftHistory, path: PathHistory) -> TagePrediction:
         """Predict the direction of the conditional branch at ``pc``."""
-        config = self.config
-        base_index = (pc >> 2) % config.base_entries
+        history_value = history.value
+        path_value = path.value & self._path_mask
+        path_bits = self.config.path_bits
+        valid = self._valid
+        entry_tags = self._tags
         indices: list[int] = []
         tags: list[int] = []
-        hits: list[int] = []
-        for comp_id, component in enumerate(config.components):
-            index_bits = component.entries.bit_length() - 1
-            index = mix_hash(pc, history.bits(component.history_bits), component.history_bits,
-                             path.bits(config.path_bits), config.path_bits, index_bits)
-            tag = tag_hash(pc, history.bits(component.history_bits), component.history_bits,
-                           component.tag_bits)
+        provider = alt_provider = -1
+        for comp_id, (mask, history_bits, index_bits, tag_bits) in enumerate(self._geometry):
+            folded = history_value & mask
+            index = mix_hash(pc, folded, history_bits, path_value, path_bits, index_bits)
+            tag = tag_hash(pc, folded, history_bits, tag_bits)
             indices.append(index)
             tags.append(tag)
-            entry = self._tables[comp_id][index]
-            if entry.valid and entry.tag == tag:
-                hits.append(comp_id)
+            if valid[comp_id][index] and entry_tags[comp_id][index] == tag:
+                alt_provider = provider
+                provider = comp_id
 
-        base_taken = self._base[base_index] >= self._counter_weakly_taken
-        if hits:
-            provider = hits[-1]
-            provider_entry = self._tables[provider][indices[provider]]
-            taken = provider_entry.counter >= self._counter_weakly_taken
-            weak = provider_entry.counter in (self._counter_weakly_taken - 1,
-                                              self._counter_weakly_taken)
-            if len(hits) >= 2:
-                alt_provider = hits[-2]
-                alt_entry = self._tables[alt_provider][indices[alt_provider]]
-                alt_taken = alt_entry.counter >= self._counter_weakly_taken
+        weakly_taken = self._counter_weakly_taken
+        base_index = (pc >> 2) % len(self._base)
+        base_counter = self._base[base_index]
+        base_taken = base_counter >= weakly_taken
+        if provider >= 0:
+            provider_index = indices[provider]
+            counter = self._counters[provider][provider_index]
+            taken = counter >= weakly_taken
+            weak = counter == weakly_taken or counter == weakly_taken - 1
+            if alt_provider >= 0:
                 alt_index = indices[alt_provider]
+                alt_taken = self._counters[alt_provider][alt_index] >= weakly_taken
             else:
-                alt_provider = -1
                 alt_taken = base_taken
                 alt_index = base_index
             # Newly allocated (weak) entries are less trustworthy than the
             # alternate prediction, per the original TAGE policy.
-            if weak and not provider_entry.useful:
+            if weak and not self._useful[provider][provider_index]:
                 taken = alt_taken
         else:
-            provider = -1
-            taken = base_taken
-            alt_provider = -1
-            alt_taken = base_taken
-            alt_index = base_index
-            weak = self._base[base_index] in (self._counter_weakly_taken - 1,
-                                              self._counter_weakly_taken)
+            provider_index = alt_index = base_index
+            taken = alt_taken = base_taken
+            weak = base_counter == weakly_taken or base_counter == weakly_taken - 1
 
-        self._lookups += 1
-        return TagePrediction(
-            taken=taken,
-            provider=provider,
-            provider_index=indices[provider] if provider >= 0 else base_index,
-            alt_taken=alt_taken,
-            alt_provider=alt_provider,
-            alt_index=alt_index,
-            base_index=base_index,
-            indices=tuple(indices),
-            tags=tuple(tags),
-            weak=weak,
-        )
+        return TagePrediction(taken, provider, provider_index, alt_taken, alt_provider,
+                              alt_index, base_index, tuple(indices), tuple(tags), weak)
 
     # -- update -------------------------------------------------------------------
 
     def update(self, pc: int, taken: bool, prediction: TagePrediction) -> None:
         """Train the predictor with the resolved outcome of a predicted branch."""
         config = self.config
+        provider = prediction.provider
         mispredicted = prediction.taken != taken
 
         # Update the provider (or the base table).
-        if prediction.provider >= 0:
-            entry = self._tables[prediction.provider][prediction.provider_index]
-            entry.counter = self._saturate(entry.counter, taken)
+        if provider >= 0:
+            index = prediction.provider_index
+            counters = self._counters[provider]
+            counters[index] = self._saturate(counters[index], taken)
             if prediction.taken != prediction.alt_taken:
+                useful = self._useful[provider]
                 if prediction.taken == taken:
-                    entry.useful = min(entry.useful + 1, self._useful_max)
+                    useful[index] = min(useful[index] + 1, self._useful_max)
                 else:
-                    entry.useful = max(entry.useful - 1, 0)
+                    useful[index] = max(useful[index] - 1, 0)
             # Also train the base predictor when the provider entry is weak,
             # keeping the bimodal table a useful fallback.
             if prediction.weak:
@@ -220,34 +208,35 @@ class TageBranchPredictor:
                 self._base[prediction.base_index], taken)
 
         # Allocate a new entry in a longer-history component on a misprediction.
-        if mispredicted and prediction.provider < len(config.components) - 1:
+        if mispredicted and provider < len(config.components) - 1:
             self._allocate(prediction, taken)
 
         # Periodic graceful aging of the useful counters.
         self._allocation_clock += 1
         if self._allocation_clock >= config.useful_reset_period:
             self._allocation_clock = 0
-            for table in self._tables:
-                for entry in table:
-                    entry.useful >>= 1
+            for useful in self._useful:
+                useful[:] = [value >> 1 for value in useful]
 
     def _allocate(self, prediction: TagePrediction, taken: bool) -> None:
         """Allocate an entry in one component with longer history than the provider."""
         start = prediction.provider + 1
+        indices = prediction.indices
         for comp_id in range(start, len(self.config.components)):
-            entry = self._tables[comp_id][prediction.indices[comp_id]]
-            if not entry.valid or entry.useful == 0:
-                entry.valid = True
-                entry.tag = prediction.tags[comp_id]
-                entry.counter = self._counter_weakly_taken if taken \
+            index = indices[comp_id]
+            if not self._valid[comp_id][index] or self._useful[comp_id][index] == 0:
+                self._valid[comp_id][index] = True
+                self._tags[comp_id][index] = prediction.tags[comp_id]
+                self._counters[comp_id][index] = self._counter_weakly_taken if taken \
                     else self._counter_weakly_taken - 1
-                entry.useful = 0
+                self._useful[comp_id][index] = 0
                 return
         # No free entry: decay the useful counters on the candidate path so
         # that a later allocation succeeds (standard TAGE behaviour).
         for comp_id in range(start, len(self.config.components)):
-            entry = self._tables[comp_id][prediction.indices[comp_id]]
-            entry.useful = max(entry.useful - 1, 0)
+            useful = self._useful[comp_id]
+            index = indices[comp_id]
+            useful[index] = max(useful[index] - 1, 0)
 
     def _saturate(self, counter: int, taken: bool) -> int:
         """Move a prediction counter toward the observed outcome."""
@@ -257,41 +246,36 @@ class TageBranchPredictor:
 
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
+    def _field_tables(self) -> dict[str, list[list]]:
+        """The per-component lists of each entry field, keyed as in a snapshot."""
+        return {"tags": self._tags, "counters": self._counters,
+                "useful": self._useful, "valid": self._valid}
+
     def to_snapshot(self) -> dict:
         """Serialise the predictor's trained state (counters, tags, useful bits).
 
-        Statistics (``lookups``) are deliberately not part of the snapshot:
-        snapshots carry *state*, and every detailed window accounts for its
-        own events.
+        Every list is a copy, so the image is a value: training the
+        predictor afterwards leaves it unchanged.
         """
-        return {
-            "base": list(self._base),
-            "tables": [[[e.tag, e.counter, e.useful, 1 if e.valid else 0]
-                        for e in table] for table in self._tables],
-            "allocation_clock": self._allocation_clock,
-        }
+        snapshot = {"base": list(self._base), "allocation_clock": self._allocation_clock}
+        for key, tables in self._field_tables().items():
+            snapshot[key] = [list(table) for table in tables]
+        return snapshot
 
     def restore_snapshot(self, snapshot: dict) -> None:
-        """Overwrite the trained state with a :meth:`to_snapshot` image."""
-        if len(snapshot["base"]) != len(self._base) or \
-                [len(rows) for rows in snapshot["tables"]] != \
-                [len(table) for table in self._tables]:
+        """Overwrite the trained state with a copy of a :meth:`to_snapshot` image."""
+        fields = self._field_tables()
+        geometry = [len(table) for table in self._tags]
+        if len(snapshot["base"]) != len(self._base) or any(
+                [len(rows) for rows in snapshot[key]] != geometry for key in fields):
             raise ValueError("TAGE snapshot geometry does not match this predictor")
         self._base[:] = snapshot["base"]
-        for table, rows in zip(self._tables, snapshot["tables"]):
-            for entry, (tag, counter, useful, valid) in zip(table, rows):
-                entry.tag = tag
-                entry.counter = counter
-                entry.useful = useful
-                entry.valid = bool(valid)
+        for key, tables in fields.items():
+            for table, rows in zip(tables, snapshot[key]):
+                table[:] = rows
         self._allocation_clock = snapshot["allocation_clock"]
 
     # -- introspection ------------------------------------------------------------
-
-    @property
-    def lookups(self) -> int:
-        """Number of predictions made so far."""
-        return self._lookups
 
     def storage_bits(self) -> int:
         """Approximate storage requirement of the predictor in bits."""

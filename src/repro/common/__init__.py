@@ -3,10 +3,6 @@
 The :mod:`repro.common` package gathers small, dependency-free building
 blocks that several subsystems of the simulator rely on:
 
-* :mod:`repro.common.counters` -- saturating confidence counters and
-  resettable up-counters (the primitive the ISRB is built from).
-* :mod:`repro.common.circular` -- fixed-capacity circular buffers used for
-  the reorder buffer, free list and load/store queues.
 * :mod:`repro.common.history` -- global branch history and path history
   registers with cheap checkpoint/restore, shared by the TAGE branch
   predictor and the TAGE-like instruction distance predictor.
@@ -17,16 +13,11 @@ blocks that several subsystems of the simulator rely on:
   harness.
 """
 
-from repro.common.circular import CircularBuffer
-from repro.common.counters import ResettableUpCounter, SaturatingCounter
 from repro.common.history import HistoryCheckpoint, PathHistory, ShiftHistory
 from repro.common.hashing import fold_bits, mix_hash, tag_hash
 from repro.common.statistics import StatGroup, geometric_mean, harmonic_mean, speedup
 
 __all__ = [
-    "CircularBuffer",
-    "SaturatingCounter",
-    "ResettableUpCounter",
     "ShiftHistory",
     "PathHistory",
     "HistoryCheckpoint",

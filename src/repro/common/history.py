@@ -52,13 +52,6 @@ class ShiftHistory:
         """Shift in a new branch outcome."""
         self._value = ((self._value << 1) | int(bool(taken))) & self._mask
 
-    def bits(self, count: int) -> int:
-        """Return the ``count`` most recent outcome bits as an integer."""
-        if count <= 0:
-            return 0
-        count = min(count, self._max_bits)
-        return self._value & ((1 << count) - 1)
-
     def checkpoint(self) -> HistoryCheckpoint:
         """Snapshot the register for later restoration."""
         return HistoryCheckpoint(value=self._value, length=self._max_bits)
@@ -110,13 +103,6 @@ class PathHistory:
         """Shift in the low bits of a branch address."""
         low = address & ((1 << self._bits_per_branch) - 1)
         self._value = ((self._value << self._bits_per_branch) | low) & self._mask
-
-    def bits(self, count: int) -> int:
-        """Return the ``count`` most recent path bits as an integer."""
-        if count <= 0:
-            return 0
-        count = min(count, self._max_bits)
-        return self._value & ((1 << count) - 1)
 
     def checkpoint(self) -> HistoryCheckpoint:
         """Snapshot the register for later restoration."""

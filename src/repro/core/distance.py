@@ -28,14 +28,17 @@ flush while simply not predicting costs nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.hashing import fold_bits, mix_hash, tag_hash
 
 
-@dataclass(frozen=True)
-class DistancePrediction:
-    """Result of a distance lookup, carried by the load until commit-time training."""
+class DistancePrediction(NamedTuple):
+    """Result of a distance lookup, carried by the load until commit-time training.
+
+    An immutable tuple: one is built per looked-up load.
+    """
 
     distance: int | None
     confident: bool
@@ -266,48 +269,45 @@ class TageDistancePredictor:
 
     def __init__(self, config: TageDistanceConfig | None = None) -> None:
         self.config = config or TageDistanceConfig()
+        config = self.config
         self._base: dict[int, _DistanceEntry] = {}
         self._components: list[dict[int, _DistanceEntry]] = [
-            dict() for _ in self.config.component_entries
+            dict() for _ in config.component_entries
         ]
+        self._base_tag_mask = (1 << config.base_tag_bits) - 1
+        self._max_confidence = (1 << config.confidence_bits) - 1
+        # (history bits, index bits, tag bits) per tagged component.
+        self._geometry = tuple(
+            (history_bits, entries.bit_length() - 1, tag_bits)
+            for entries, history_bits, tag_bits in zip(
+                config.component_entries, config.component_history_bits,
+                config.component_tag_bits))
         self.lookups = 0
         self.trainings = 0
         self.allocations = 0
-
-    # -- indexing -----------------------------------------------------------------
-
-    def _base_index(self, pc: int) -> tuple[int, int]:
-        index = (pc >> 2) % self.config.base_entries
-        tag = ((pc >> 2) // self.config.base_entries) & ((1 << self.config.base_tag_bits) - 1)
-        return index, tag
-
-    def _component_index(self, comp: int, pc: int, history: int, path: int) -> tuple[int, int]:
-        entries = self.config.component_entries[comp]
-        history_bits = self.config.component_history_bits[comp]
-        tag_bits = self.config.component_tag_bits[comp]
-        index_bits = entries.bit_length() - 1
-        index = mix_hash(pc, history, history_bits, path, self.config.path_bits, index_bits)
-        tag = tag_hash(pc, history, history_bits, tag_bits)
-        return index, tag
 
     # -- prediction ---------------------------------------------------------------
 
     def predict(self, pc: int, history: int, path: int) -> DistancePrediction:
         """Predict the instruction distance for the load at ``pc``."""
         self.lookups += 1
-        max_confidence = (1 << self.config.confidence_bits) - 1
-        base_index, base_tag = self._base_index(pc)
+        base_entries = self.config.base_entries
+        path_bits = self.config.path_bits
+        base_index = (pc >> 2) % base_entries
+        base_tag = ((pc >> 2) // base_entries) & self._base_tag_mask
         indices: list[int] = [base_index]
         tags: list[int] = [base_tag]
         provider = -1
         provider_index = base_index
         provider_entry: _DistanceEntry | None = None
 
-        for comp in range(len(self._components)):
-            index, tag = self._component_index(comp, pc, history, path)
+        components = self._components
+        for comp, (history_bits, index_bits, tag_bits) in enumerate(self._geometry):
+            index = mix_hash(pc, history, history_bits, path, path_bits, index_bits)
+            tag = tag_hash(pc, history, history_bits, tag_bits)
             indices.append(index)
             tags.append(tag)
-            entry = self._components[comp].get(index)
+            entry = components[comp].get(index)
             if entry is not None and entry.valid and entry.tag == tag:
                 provider = comp
                 provider_index = index
@@ -321,18 +321,10 @@ class TageDistancePredictor:
                 provider_index = base_index
 
         if provider_entry is None:
-            return DistancePrediction(
-                distance=None, confident=False, provider=-2, provider_index=0,
-                indices=tuple(indices), tags=tuple(tags),
-            )
-        return DistancePrediction(
-            distance=provider_entry.distance,
-            confident=provider_entry.confidence >= max_confidence,
-            provider=provider,
-            provider_index=provider_index,
-            indices=tuple(indices),
-            tags=tuple(tags),
-        )
+            return DistancePrediction(None, False, -2, 0, tuple(indices), tuple(tags))
+        return DistancePrediction(provider_entry.distance,
+                                  provider_entry.confidence >= self._max_confidence,
+                                  provider, provider_index, tuple(indices), tuple(tags))
 
     # -- training -----------------------------------------------------------------
 
@@ -351,13 +343,13 @@ class TageDistancePredictor:
             return
         max_distance = (1 << self.config.distance_bits) - 1
         actual = min(actual_distance, max_distance)
-        max_confidence = (1 << self.config.confidence_bits) - 1
 
         provider_entry = self._provider_entry(prediction)
         correct = provider_entry is not None and provider_entry.distance == actual
         if provider_entry is not None:
             if correct:
-                provider_entry.confidence = min(provider_entry.confidence + 1, max_confidence)
+                provider_entry.confidence = min(provider_entry.confidence + 1,
+                                                self._max_confidence)
             else:
                 provider_entry.distance = actual
                 provider_entry.confidence = 0

@@ -373,9 +373,8 @@ class Core:
                     self.fetch_blocked_until = self.cycle + latency
                     self._progress = True
                     break
-            # Inlined ``history.bits(64)`` / ``path.bits(32)``: the path
-            # register is 32 bits wide so its value needs no masking, and
-            # the branch history only needs the low-64 mask.
+            # The op carries the low 64 history bits and the whole path
+            # register, which is 32 bits wide and so needs no masking.
             entry = InflightOp(op, self.cycle, history._value & _MASK64, path._value)
             stop_fetching = False
             if op.is_branch:

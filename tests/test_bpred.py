@@ -12,6 +12,12 @@ not-taken entry starts at 3.
 
 from __future__ import annotations
 
+import copy
+import gc
+import hashlib
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bpred.btb import BranchTargetBuffer
@@ -33,6 +39,14 @@ def _fresh_histories() -> tuple[ShiftHistory, PathHistory]:
     return ShiftHistory(max_bits=256), PathHistory(max_bits=32)
 
 
+def _entry(predictor: TageBranchPredictor, component: int, index: int) -> SimpleNamespace:
+    """Read one tagged entry's fields out of the predictor's flat lists."""
+    return SimpleNamespace(tag=predictor._tags[component][index],
+                           counter=predictor._counters[component][index],
+                           useful=predictor._useful[component][index],
+                           valid=predictor._valid[component][index])
+
+
 # ---------------------------------------------------------------------------
 # TAGE worked example
 # ---------------------------------------------------------------------------
@@ -50,7 +64,8 @@ def test_tage_worked_example_allocation_and_useful_bits():
     #    misprediction allocates a not-taken (counter 3) entry in comp 0.
     predictor.update(PC, False, p1)
     assert predictor._base[p1.base_index] == 3
-    entry0 = predictor._tables[0][p1.indices[0]]
+    slot0 = (0, p1.indices[0])
+    entry0 = _entry(predictor, *slot0)
     assert entry0.valid and entry0.tag == p1.tags[0]
     assert (entry0.counter, entry0.useful) == (3, 0)
 
@@ -61,7 +76,7 @@ def test_tage_worked_example_allocation_and_useful_bits():
     assert p2.weak
     assert p2.taken is False            # alt (base counter 3) says not taken
     predictor.update(PC, False, p2)     # correct: comp0 3->2, weak trains base 3->2
-    assert entry0.counter == 2
+    assert _entry(predictor, *slot0).counter == 2
     assert predictor._base[p2.base_index] == 2
 
     # 4. Strong-enough comp 0 entry mispredicts a taken flip: a taken entry
@@ -69,8 +84,9 @@ def test_tage_worked_example_allocation_and_useful_bits():
     p3 = predictor.predict(PC, history, path)
     assert (p3.provider, p3.taken, p3.weak) == (0, False, False)
     predictor.update(PC, True, p3)
-    assert entry0.counter == 3
-    entry1 = predictor._tables[1][p3.indices[1]]
+    assert _entry(predictor, *slot0).counter == 3
+    slot1 = (1, p3.indices[1])
+    entry1 = _entry(predictor, *slot1)
     assert entry1.valid and (entry1.counter, entry1.useful) == (4, 0)
 
     # 5. Comp 1 (longest history) now provides; it is freshly allocated and
@@ -79,7 +95,7 @@ def test_tage_worked_example_allocation_and_useful_bits():
     assert (p4.provider, p4.alt_provider) == (1, 0)
     assert p4.taken is False
     predictor.update(PC, True, p4)      # provider counter 4 -> 5
-    assert entry1.counter == 5
+    assert _entry(predictor, *slot1).counter == 5
 
     # 6. Comp 1 is strong now: prediction taken, alternate disagrees, and a
     #    correct outcome finally moves the useful counter.
@@ -87,7 +103,7 @@ def test_tage_worked_example_allocation_and_useful_bits():
     assert (p5.provider, p5.taken, p5.weak) == (1, True, False)
     assert p5.alt_taken is False
     predictor.update(PC, True, p5)
-    assert entry1.useful == 1
+    assert _entry(predictor, *slot1).useful == 1
 
 
 def test_tage_useful_counter_decrements_on_wrong_provider():
@@ -98,12 +114,12 @@ def test_tage_useful_counter_decrements_on_wrong_provider():
         prediction = predictor.predict(PC, history, path)
         predictor.update(PC, taken, prediction)
     prediction = predictor.predict(PC, history, path)
-    entry1 = predictor._tables[1][prediction.indices[1]]
-    assert entry1.useful == 1
+    slot1 = (1, prediction.indices[1])
+    assert _entry(predictor, *slot1).useful == 1
     # Provider says taken, alternate says not taken, outcome not taken:
     # provider was wrong while differing from the alternate -> useful 1 -> 0.
     predictor.update(PC, False, prediction)
-    assert entry1.useful == 0
+    assert _entry(predictor, *slot1).useful == 0
 
 
 def test_tage_history_changes_component_indices():
@@ -136,6 +152,111 @@ def test_tage_snapshot_roundtrip_preserves_predictions():
     clone = restored.predict(PC, history, path)
     assert (original.taken, original.provider, original.weak) == \
         (clone.taken, clone.provider, clone.weak)
+
+
+def _train(predictor: TageBranchPredictor, outcomes) -> None:
+    history, path = _fresh_histories()
+    for taken in outcomes:
+        prediction = predictor.predict(PC, history, path)
+        predictor.update(PC, taken, prediction)
+        history.push(taken)
+        path.push(PC)
+
+
+def test_tage_construction_allocates_no_per_entry_objects():
+    # Every Core builds a fresh predictor; per-entry objects would hand
+    # thousands of container objects to the garbage collector each time.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        predictor = TageBranchPredictor()
+        added = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert predictor.config.total_entries > 5_000
+    assert added < 100
+
+
+def test_tage_snapshots_are_values():
+    predictor = _small_tage()
+    _train(predictor, (False, False, True, True, True))
+    snapshot = predictor.to_snapshot()
+    frozen = copy.deepcopy(snapshot)
+
+    # Training the source after the capture leaves the snapshot alone.
+    _train(predictor, (False, True, False, False, True, False))
+    assert predictor.to_snapshot() != frozen
+    assert snapshot == frozen
+
+    # Two predictors restored from one snapshot share no state.
+    first, second = _small_tage(), _small_tage()
+    first.restore_snapshot(snapshot)
+    second.restore_snapshot(snapshot)
+    _train(first, (True, False, False, True, False, True))
+    assert first.to_snapshot() != frozen
+    assert second.to_snapshot() == frozen
+    assert snapshot == frozen
+
+
+#: A reduced geometry whose useful counters age every 512 updates.
+_AGING_TAGE = TageConfig(
+    base_entries=64,
+    components=(TageComponentConfig(16, 6, 3), TageComponentConfig(16, 7, 9),
+                TageComponentConfig(32, 8, 21)),
+    useful_reset_period=512,
+)
+
+
+def _stream_digest(config: TageConfig | None, steps: int, periods: tuple[int, ...],
+                   restore_at: int | None = None) -> str:
+    """SHA-256 over every prediction of a seeded loop-like branch stream.
+
+    One branch per period runs in a loop; each is taken except on every
+    ``period``-th iteration, and 3% of outcomes are flipped, so the longer
+    history components get allocated and provide.  At ``restore_at`` the
+    predictor is replaced by a fresh one restored from its snapshot.
+    """
+    rng = random.Random(7)
+    pcs = [0x1000 + 4 * rng.randrange(1 << 14) for _ in periods]
+    predictor = TageBranchPredictor(config)
+    history, path = _fresh_histories()
+    digest = hashlib.sha256()
+    for step in range(steps):
+        if step == restore_at:
+            restored = TageBranchPredictor(config)
+            restored.restore_snapshot(predictor.to_snapshot())
+            predictor = restored
+        iteration, slot = divmod(step, len(pcs))
+        pc = pcs[slot]
+        taken = iteration % periods[slot] != 0
+        if rng.random() < 0.03:
+            taken = not taken
+        p = predictor.predict(pc, history, path)
+        digest.update(repr((p.taken, p.provider, p.provider_index, p.alt_taken,
+                            p.weak)).encode())
+        predictor.update(pc, taken, p)
+        history.push(taken)
+        path.push(pc)
+    return digest.hexdigest()
+
+
+_STREAMS = {
+    "default": (None, 8_000, (5, 13, 24, 31),
+                "878b9e27b51a6391887ef4b10161f153afbf48a27e8ad3865f682cec8914d512"),
+    "aging": (_AGING_TAGE, 3_000, (3, 5, 8),
+              "676097e8c7a205145b5e6dcf2bbf6734a1b14cc4ab97990a767b59c468f9dd51"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STREAMS))
+def test_tage_prediction_stream_is_pinned(name):
+    config, steps, periods, expected = _STREAMS[name]
+    assert _stream_digest(config, steps, periods) == expected
+    # A predictor restored mid-stream continues the stream identically.
+    assert _stream_digest(config, steps, periods, restore_at=steps // 2 + 3) == expected
 
 
 # ---------------------------------------------------------------------------

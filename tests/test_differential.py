@@ -269,6 +269,33 @@ def test_error_budget_holds_two_percent_on_long_workloads():
         f"(geomean) vs {geomean_fixed:.0f} for the fixed geometry")
 
 
+#: Cycles and predictor counters of short branch-, call- and SMB-heavy
+#: cells and of one sampled cell, written by ``regenerate_timing_references``.
+TIMING_REFERENCES_PATH = Path(__file__).parent / "golden" / "timing_references.json"
+
+
+def test_predictor_sensitive_timing_matches_pinned_references():
+    """A drifting branch, BTB, RAS or distance predictor, or a predictor
+    snapshot that loses state between sampled windows, moves these cells.
+
+    Every cell of ``golden/timing_references.json`` is recomputed and
+    compared exactly; CI also regenerates the file and diffs it."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    pinned = json.loads(TIMING_REFERENCES_PATH.read_text())
+    fresh = json.loads(json.dumps(regenerate.compute_timing_references(seed=pinned["seed"])))
+    assert fresh["machines"] == pinned["machines"], (
+        "timing_references.json was pinned on another machine; regenerate it")
+    assert sorted(fresh["cells"]) == sorted(pinned["cells"])
+    for cell, expected in pinned["cells"].items():
+        assert fresh["cells"][cell] == expected, cell
+    assert fresh == pinned
+
+
 @pytest.mark.parametrize("scheme", sorted(_scheme_configs()))
 def test_sampled_ipc_tracks_full_run_per_scheme(scheme):
     """Sampled IPC within the documented tolerance, every tracker scheme."""
