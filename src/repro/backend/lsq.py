@@ -118,19 +118,6 @@ class LoadStoreQueue:
             return ForwardingDecision(ForwardingState.STORE_NOT_READY, best)
         return ForwardingDecision(ForwardingState.PARTIAL_OVERLAP, best)
 
-    def has_unresolved_partial_overlap(self, load: InflightOp) -> bool:
-        """``True`` while an older partially-overlapping store has not executed."""
-        decision = self.forwarding_for(load)
-        return (decision.state is ForwardingState.PARTIAL_OVERLAP
-                and not (decision.store.issued and decision.store.completed))
-
-    def store_inflight(self, seq: int) -> InflightOp | None:
-        """Return the in-flight store with sequence number ``seq``, if any."""
-        for store in self._stores:
-            if store.seq == seq:
-                return store
-        return None
-
     def violating_loads(self, store: InflightOp) -> list[InflightOp]:
         """Younger loads that already executed against an address this store overlaps.
 

@@ -107,10 +107,6 @@ class ReorderBuffer:
         """
         return self._by_seq.get(seq)
 
-    def inflight(self) -> deque[InflightOp]:
-        """The in-flight entries, oldest first."""
-        return self._inflight
-
     def retained(self) -> deque[InflightOp]:
         """The retained committed entries, oldest first."""
         return self._retained

@@ -5,16 +5,15 @@ feeding: four 1-cycle ALUs, one non-pipelined integer multiply/divide unit
 (3 / 25 cycles), two 3-cycle FP units, two non-pipelined FP multiply/divide
 units (5 / 10 cycles), two load ports and one store port.
 
-The issue queue selects ready instructions oldest-first each cycle, subject
-to the issue width and to a caller-supplied readiness check (the core model
-supplies a closure that checks operand readiness, memory-dependence
-constraints and functional unit availability).
+The issue queue holds dispatched instructions oldest first; the core
+model's issue stage scans it each cycle and selects ready instructions
+subject to the issue width, operand readiness, memory-dependence
+constraints and functional unit availability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.backend.inflight import InflightOp
 from repro.isa.opcodes import OpClass
@@ -176,9 +175,8 @@ class IssueQueue:
         """The queued instructions, oldest first (the queue's own storage).
 
         Exposed for the pipeline's inlined issue scan; callers must not
-        mutate the list directly -- they hand back the survivors through
-        :meth:`replace_entries` (or account for external selections with
-        :meth:`note_issued`).
+        mutate the list directly -- they account for the entries they
+        issued with :meth:`note_issued`.
         """
         if self._live != len(self._entries):
             self._compact()
@@ -197,12 +195,6 @@ class IssueQueue:
         if stale > self._live:
             self._compact()
 
-    def replace_entries(self, remaining: list[InflightOp], issued: int) -> None:
-        """Install the post-selection queue contents and account for issues."""
-        self._entries = remaining
-        self._live = len(remaining)
-        self.issued_total += issued
-
     def remove(self, entries: list[InflightOp]) -> None:
         """Remove specific entries (used when squashing)."""
         if not entries:
@@ -216,28 +208,6 @@ class IssueQueue:
         """Empty the queue (commit-stage flush)."""
         self._entries.clear()
         self._live = 0
-
-    def issue(self, cycle: int, issue_width: int,
-              try_issue: Callable[[InflightOp], bool]) -> list[InflightOp]:
-        """Select up to ``issue_width`` issuable instructions, oldest first.
-
-        ``try_issue(op)`` performs the readiness / functional-unit checks
-        and, on success, records the issue (returns ``True``).  Selected
-        instructions leave the queue.
-        """
-        issued: list[InflightOp] = []
-        if not self._live:
-            return issued
-        remaining: list[InflightOp] = []
-        for entry in self.entries():
-            if len(issued) < issue_width and try_issue(entry):
-                issued.append(entry)
-            else:
-                remaining.append(entry)
-        self._entries = remaining
-        self._live = len(remaining)
-        self.issued_total += len(issued)
-        return issued
 
     def __repr__(self) -> str:
         return f"IssueQueue(capacity={self.capacity}, occupancy={self._live})"

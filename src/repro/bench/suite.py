@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bench.report import BenchReport, BenchResult, default_meta
-from repro.experiments.grid import SCHEME_PRESETS, SweepSpec
-from repro.experiments.runner import run_sweep
+from repro.experiments.grid import SCHEME_PRESETS, SweepSpec, scheme_config
+from repro.experiments.report import build_report
+from repro.experiments.runner import run_jobs, run_sweep
 from repro.isa.functional import FunctionalCore
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate_trace
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig
 from repro.workloads import DEFAULT_SUITE, build_workload, generate_trace, list_workloads
@@ -192,22 +192,6 @@ class BenchConfig:
         """Workloads of the sampled accuracy tier (default: the full suite)."""
         return self.sampled_workloads or tuple(DEFAULT_SUITE)
 
-    def config_for_scheme(self, scheme: str) -> CoreConfig:
-        """The core configuration a scheme name benches under.
-
-        ``"baseline"`` is the no-sharing Table-1 machine; every real scheme
-        runs with its preset sizing plus move elimination and SMB enabled
-        (the configuration whose hot path the optimisations target).
-        """
-        if scheme == "baseline":
-            return CoreConfig()
-        preset = SCHEME_PRESETS[scheme]
-        return (CoreConfig()
-                .with_tracker(scheme=preset["scheme"], entries=preset["entries"],
-                              counter_bits=preset["counter_bits"])
-                .with_move_elimination()
-                .with_smb())
-
 
 @dataclass
 class _Timer:
@@ -261,7 +245,7 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
 
     # Tier 2: cycle-level simulation per (scheme, workload).
     for scheme in config.schemes:
-        core_config = config.config_for_scheme(scheme)
+        core_config = scheme_config(scheme)
         for workload in config.workloads:
             name = f"sim/{scheme}/{workload}"
             if progress is not None:
@@ -325,7 +309,7 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
     # case -- the full-detail reference run is exactly the cost sampling
     # removes), over the default suite and then the long-horizon workloads
     # that are only tractable under sampling.
-    isrb_config = config.config_for_scheme("isrb")
+    isrb_config = scheme_config("isrb")
     sampled_workloads = config.resolved_sampled_workloads() if config.sampled else ()
     sampled_tiers = (
         ("sampled", sampled_workloads, config.sampled_max_ops, config.sampling),
@@ -392,13 +376,12 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
             farm_report = independent_report = None
             for _ in range(config.repeat):
                 wall, farm_report = timer.best_of(
-                    1, lambda: run_sweep(farm_spec, workers=1, cache_dir=None,
-                                         farm=True))
+                    1, lambda: run_sweep(farm_spec, workers=1, cache_dir=None))
                 if farm_wall is None or wall < farm_wall:
                     farm_wall = wall
                 wall, independent_report = timer.best_of(
-                    1, lambda: run_sweep(farm_spec, workers=1, cache_dir=None,
-                                         farm=False))
+                    1, lambda: build_report(run_jobs(farm_spec.expand()),
+                                            meta=farm_report.meta))
                 if independent_wall is None or wall < independent_wall:
                     independent_wall = wall
         finally:
@@ -437,7 +420,7 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
         from repro.common.statistics import weighted_mean_std
         from repro.pipeline.sampling import window_samples
 
-        baseline_config = config.config_for_scheme("baseline")
+        baseline_config = scheme_config("baseline")
         fixed_sim = SampledSimulator(isrb_config, config.adaptive_sampling)
         fixed_wall, fixed = timer.best_of(
             1, lambda: fixed_sim.run_workload(config.adaptive_workload,

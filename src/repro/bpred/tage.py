@@ -76,12 +76,6 @@ class TageConfig:
         """Total number of entries across the base and tagged components."""
         return self.base_entries + sum(component.entries for component in self.components)
 
-    @property
-    def max_history_bits(self) -> int:
-        """Longest global history length used by any component."""
-        return max(component.history_bits for component in self.components)
-
-
 class TagePrediction(NamedTuple):
     """The outcome of a TAGE lookup, kept until the branch resolves.
 

@@ -8,14 +8,12 @@ blocks that several subsystems of the simulator rely on:
   predictor and the TAGE-like instruction distance predictor.
 * :mod:`repro.common.hashing` -- folded-XOR index and tag hashing helpers
   for geometric-history predictors.
-* :mod:`repro.common.statistics` -- geometric means, speedups and a small
-  named-statistics registry used by the simulator and the benchmark
-  harness.
+* :mod:`repro.common.statistics` -- weighted means and Student-t
+  confidence factors for sampled simulation.
 """
 
 from repro.common.history import HistoryCheckpoint, PathHistory, ShiftHistory
 from repro.common.hashing import fold_bits, mix_hash, tag_hash
-from repro.common.statistics import StatGroup, geometric_mean, harmonic_mean, speedup
 
 __all__ = [
     "ShiftHistory",
@@ -24,8 +22,4 @@ __all__ = [
     "fold_bits",
     "mix_hash",
     "tag_hash",
-    "geometric_mean",
-    "harmonic_mean",
-    "speedup",
-    "StatGroup",
 ]

@@ -1,48 +1,15 @@
-"""Statistics helpers shared by the simulator and the benchmark harness.
+"""Sampling statistics shared by the simulator and the benchmark harness.
 
-The paper reports speedups as geometric means across the benchmark suite and
-per-benchmark relative improvements, so the harness needs exactly three
-ingredients: geometric means, speedup ratios and a lightweight named-counter
-registry (:class:`StatGroup`) that the pipeline uses to expose its internal
-event counts (memory traps, eliminated moves, bypassed loads, ...).
+Sampled simulation estimates a run's IPC from a handful of detailed
+windows, so it needs instruction-weighted means with an honest dispersion
+estimate and the small-sample Student-t factor for their confidence
+intervals.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of strictly positive values.
-
-    Raises
-    ------
-    ValueError
-        If the iterable is empty or contains a non-positive value.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("geometric mean of an empty sequence is undefined")
-    log_sum = 0.0
-    for value in values:
-        if value <= 0.0:
-            raise ValueError(f"geometric mean requires positive values, got {value}")
-        log_sum += math.log(value)
-    return math.exp(log_sum / len(values))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of strictly positive values (used for aggregate IPC)."""
-    values = list(values)
-    if not values:
-        raise ValueError("harmonic mean of an empty sequence is undefined")
-    inverse_sum = 0.0
-    for value in values:
-        if value <= 0.0:
-            raise ValueError(f"harmonic mean requires positive values, got {value}")
-        inverse_sum += 1.0 / value
-    return len(values) / inverse_sum
+from typing import Iterable
 
 
 #: Two-sided 95% Student-t critical values for 1..29 degrees of freedom.
@@ -108,85 +75,3 @@ def weighted_mean_std(values: Iterable[float],
     variance = (sum(w * (v - mean) ** 2 for v, w in zip(values, weights))
                 / total) * (count / (count - 1))
     return mean, math.sqrt(variance)
-
-
-def speedup(baseline_cycles: float, improved_cycles: float) -> float:
-    """Return the speedup of a run taking ``improved_cycles`` over the baseline.
-
-    A value greater than 1.0 means the improved configuration is faster.
-    """
-    if baseline_cycles <= 0 or improved_cycles <= 0:
-        raise ValueError("cycle counts must be positive")
-    return baseline_cycles / improved_cycles
-
-
-def percent_change(baseline: float, improved: float) -> float:
-    """Relative change of ``improved`` versus ``baseline`` in percent.
-
-    Positive values mean ``improved`` is larger.  Used for reporting the
-    percentage of eliminated moves, reduction in memory traps and so on.
-    """
-    if baseline == 0:
-        return 0.0
-    return (improved - baseline) / baseline * 100.0
-
-
-class StatGroup:
-    """A named group of integer/float statistics.
-
-    The pipeline and its subsystems accumulate event counts in a
-    :class:`StatGroup` rather than in ad-hoc attributes so the benchmark
-    harness can render every run uniformly.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._values: dict[str, float] = {}
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        """Increment statistic ``key`` by ``amount`` (creating it at zero)."""
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def set(self, key: str, value: float) -> None:
-        """Overwrite statistic ``key``."""
-        self._values[key] = value
-
-    def get(self, key: str, default: float = 0.0) -> float:
-        """Return statistic ``key`` or ``default`` when absent."""
-        return self._values.get(key, default)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def __getitem__(self, key: str) -> float:
-        return self._values[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._values))
-
-    def as_dict(self) -> dict[str, float]:
-        """Return a copy of all statistics."""
-        return dict(self._values)
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        """Add every statistic from ``other`` into this group."""
-        for key, value in other.items():
-            self.add(key, value)
-
-    def render(self, indent: str = "  ") -> str:
-        """Render the statistics as an aligned text block."""
-        if not self._values:
-            return f"{self.name}: (empty)"
-        width = max(len(key) for key in self._values)
-        lines = [f"{self.name}:"]
-        for key in sorted(self._values):
-            value = self._values[key]
-            if float(value).is_integer():
-                rendered = f"{int(value)}"
-            else:
-                rendered = f"{value:.4f}"
-            lines.append(f"{indent}{key.ljust(width)} = {rendered}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"StatGroup(name={self.name!r}, entries={len(self._values)})"

@@ -40,10 +40,6 @@ class CommitCsnTable:
         """CSN of the last committed definition of ``arch_flat`` (``None`` if never defined)."""
         return self._csn[arch_flat]
 
-    def reset(self) -> None:
-        """Forget all definitions (used by tests)."""
-        self._csn = [None] * self.num_arch_regs
-
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
     def to_snapshot(self) -> list:

@@ -213,10 +213,6 @@ class InflightSharedRegisterBuffer(SharingTracker):
         self.stats.registers_freed_on_flush += len(freed)
         return freed
 
-    def release_checkpoint(self, checkpoint_id: int) -> None:
-        """Drop a checkpoint that is no longer needed (its branch retired)."""
-        self._checkpoints.pop(checkpoint_id, None)
-
     @property
     def live_checkpoints(self) -> int:
         """Number of currently held checkpoints."""

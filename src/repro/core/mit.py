@@ -31,15 +31,6 @@ class MitEntry:
     pending_pairs: list[tuple[int, int]] = field(default_factory=list)
     deferred_overwrites: int = 0
 
-    def pending_archs(self) -> set[int]:
-        """Architectural registers referenced only by in-flight eliminated moves."""
-        pending: set[int] = set()
-        for src_arch, dest_arch in self.pending_pairs:
-            pending.add(src_arch)
-            pending.add(dest_arch)
-        return pending
-
-
 class MultipleInstantiationTable(SharingTracker):
     """Architectural-name based sharing tracker (move elimination only)."""
 

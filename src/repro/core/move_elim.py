@@ -86,12 +86,6 @@ class MoveEliminationStats:
             return 0.0
         return self.eliminated / self.renamed_instructions
 
-    def candidate_success_rate(self) -> float:
-        """Fraction of candidate moves that were actually eliminated."""
-        if not self.candidates:
-            return 0.0
-        return self.eliminated / self.candidates
-
     def as_dict(self) -> dict[str, float]:
         """Return the statistics as a plain dictionary."""
         return {

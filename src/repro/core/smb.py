@@ -191,10 +191,6 @@ class SmbEngine:
             if self.config.suppress_repeat_failures:
                 self._blacklisted_seqs.add(op.seq)
 
-    def is_blacklisted(self, seq: int) -> bool:
-        """``True`` when this dynamic load already failed validation once."""
-        return seq in self._blacklisted_seqs
-
     # -- commit-side --------------------------------------------------------------
 
     def train_commit(self, op: DynamicOp, csn: int, history: int, path: int,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ReclaimDecision(enum.Enum):
@@ -189,10 +189,6 @@ class SharingTracker(ABC):
     @abstractmethod
     def checkpoint_bits(self) -> int:
         """Storage required per additional checkpoint, in bits."""
-
-    def total_checkpoint_bits(self) -> int:
-        """Storage required by all provisioned checkpoints, in bits."""
-        return self.checkpoint_bits() * self.config.checkpoints
 
     def recovery_cycles(self, squashed_instructions: int, walk_width: int = 8) -> int:
         """Branch-misprediction recovery latency added by this scheme, in cycles.

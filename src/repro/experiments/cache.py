@@ -15,11 +15,6 @@ every tracker-scheme job of the sweep.  Plans are additionally keyed by the
 sampling geometry and the warm-relevant machine structure
 (:meth:`~repro.pipeline.config.CoreConfig.warm_signature`), because a plan
 is only executable on the machine family it was built for.
-
-The cache can also be *installed* as a global trace provider (see
-:func:`repro.workloads.install_trace_provider`), which makes every
-``generate_trace`` / ``simulate`` call in the process transparently
-read-through-cache.
 """
 
 from __future__ import annotations
@@ -32,12 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.isa.executor import Trace
-from repro.workloads import (
-    build_workload,
-    install_trace_provider,
-    materialize_trace,
-    workload_cache_token,
-)
+from repro.workloads import build_workload, materialize_trace, workload_cache_token
 
 #: Bumped whenever the trace layout changes; stale files are regenerated.
 #: v2: ``DynamicOp`` gained slots and precomputed classification fields.
@@ -95,7 +85,6 @@ class TraceCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
-        self._uninstall = None
 
     # -- keys and paths -------------------------------------------------------------
 
@@ -167,9 +156,6 @@ class TraceCache:
         trace = self.get(workload, max_ops, seed)
         if trace is not None:
             return trace
-        # materialize_trace (not generate_trace): the provider hook may be
-        # this very cache, and imported-trace workloads have no image to
-        # execute -- their spec reads the trace file instead.
         trace = materialize_trace(workload, max_ops=max_ops, seed=seed)
         self.stats.generated += 1
         self.put(workload, max_ops, seed, trace)
@@ -279,22 +265,3 @@ class TraceCache:
                 if not lenient:
                     raise
         return plans
-
-    # -- provider hook --------------------------------------------------------------
-
-    def install(self) -> None:
-        """Make every ``generate_trace`` call in this process go through the cache."""
-        self._uninstall = install_trace_provider(
-            lambda name, max_ops, seed: self.get_or_generate(name, max_ops, seed))
-
-    def uninstall(self) -> None:
-        """Restore the trace provider that was active before :meth:`install`."""
-        install_trace_provider(self._uninstall)
-        self._uninstall = None
-
-    def __enter__(self) -> "TraceCache":
-        self.install()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()

@@ -29,7 +29,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.grid import SCHEME_PRESETS, SweepSpec, known_schemes
+from repro.experiments.grid import (SCHEME_PRESETS, SweepSpec, known_schemes,
+                                    scheme_config)
 from repro.experiments.report import SweepReport
 from repro.experiments.runner import run_sweep
 from repro.experiments.scheduler import ReliabilityStats
@@ -42,6 +43,55 @@ from repro.workloads import generate_trace, workload_families, workload_specs
 def _csv_list(text: str) -> tuple[str, ...]:
     """Parse a comma-separated flag value into a tuple of names."""
     return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+#: Sampled-window geometry flags: flag -> (default, what the length sizes).
+_GEOMETRY_FLAGS = {
+    "--sample-window": (2_000, "measured detailed window length"),
+    "--warmup": (500, "detailed warmup before each window"),
+    "--cooldown": (300, "detailed cooldown after each window"),
+}
+
+
+def _add_machine_flags(parser: argparse.ArgumentParser) -> None:
+    """The machine ``run`` and ``trace`` simulate (see :func:`scheme_config`)."""
+    parser.add_argument("--scheme", default="isrb", choices=known_schemes())
+    parser.add_argument("--baseline", action="store_true",
+                        help="use the no-sharing Table-1 baseline instead")
+    parser.add_argument("--no-move-elim", action="store_true",
+                        help="disable move elimination")
+    parser.add_argument("--no-smb", action="store_true",
+                        help="disable speculative memory bypassing")
+    parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_sampling_flags(parser: argparse.ArgumentParser, *geometry: str) -> None:
+    """Two-speed sampling flags; ``geometry`` picks from :data:`_GEOMETRY_FLAGS`."""
+    parser.add_argument("--sample-period", type=int, default=None, metavar="N",
+                        help="two-speed sampled simulation: one detailed "
+                             "window every N retired micro-ops")
+    for flag in geometry:
+        default, what = _GEOMETRY_FLAGS[flag]
+        parser.add_argument(flag, type=int, default=default, metavar="N",
+                            help=f"{what} (default {default})")
+    parser.add_argument("--ipc-tolerance", type=float, default=None, metavar="F",
+                        help="error-budget sampled mode: grow the detailed "
+                             "window count until the per-window IPC 95%% CI "
+                             "relative half-width is <= F (e.g. 0.02); implies "
+                             "sampling even without --sample-period")
+
+
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """How ``sweep`` and ``paper`` run their cells and report progress."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes (default 1 = in-process)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-cell wall-clock budget in seconds")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-cell progress lines")
+    parser.add_argument("--log", default=None, metavar="RUN.jsonl",
+                        help="append structured run events (phases, per-cell "
+                             "outcomes, failure warnings) as JSON lines")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,27 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one (workload, config) pair")
     run.add_argument("workload")
-    run.add_argument("--scheme", default="isrb", choices=known_schemes())
+    _add_machine_flags(run)
     run.add_argument("--max-ops", type=int, default=20_000)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--no-move-elim", action="store_true",
-                     help="disable move elimination")
-    run.add_argument("--no-smb", action="store_true",
-                     help="disable speculative memory bypassing")
-    run.add_argument("--baseline", action="store_true",
-                     help="run the no-sharing Table-1 baseline instead")
-    run.add_argument("--sample-period", type=int, default=None, metavar="N",
-                     help="enable two-speed sampled simulation with one "
-                          "detailed window every N retired micro-ops")
-    run.add_argument("--sample-window", type=int, default=2_000, metavar="N",
-                     help="measured detailed window length (default 2000)")
-    run.add_argument("--warmup", type=int, default=500, metavar="N",
-                     help="detailed warmup before each window (default 500)")
-    run.add_argument("--ipc-tolerance", type=float, default=None, metavar="F",
-                     help="error-budget sampled mode: grow the detailed "
-                          "window count until the per-window IPC 95%% CI "
-                          "relative half-width is <= F (e.g. 0.02); implies "
-                          "sampling even without --sample-period")
+    _add_sampling_flags(run, "--sample-window", "--warmup")
     run.add_argument("--json", action="store_true",
                      help="print the full result as JSON")
     run.add_argument("--trace-out", default=None, metavar="DIR",
@@ -94,16 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a bounded traced window and render the pipeline timeline "
              "(JSONL + Chrome trace-event JSON + Kanata + SVG)")
     trace.add_argument("workload")
-    trace.add_argument("--scheme", default="isrb", choices=known_schemes())
-    trace.add_argument("--baseline", action="store_true",
-                       help="trace the no-sharing Table-1 baseline instead")
-    trace.add_argument("--no-move-elim", action="store_true",
-                       help="disable move elimination")
-    trace.add_argument("--no-smb", action="store_true",
-                       help="disable speculative memory bypassing")
+    _add_machine_flags(trace)
     trace.add_argument("--max-ops", type=int, default=4_000,
                        help="trace length to simulate (default 4000)")
-    trace.add_argument("--seed", type=int, default=1)
     trace.add_argument("--start", type=int, default=0, metavar="SEQ",
                        help="first traced sequence number (default 0)")
     trace.add_argument("--window", type=int, default=200, metavar="N",
@@ -115,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run an evaluation matrix in parallel")
     sweep.add_argument("--spec", default=None, metavar="SPEC.json",
-                       help="read the sweep spec from a JSON document (the "
-                            "same wire format POST /sweeps accepts; "
-                            "overrides the grid flags below)")
+                       help="read the sweep spec from a JSON document: a bare "
+                            "spec or a POST /sweeps submission envelope "
+                            "(overrides the grid flags below)")
     sweep.add_argument("--schemes", type=_csv_list, default=("isrb",),
                        help="comma-separated tracker schemes "
                             f"(known: {','.join(known_schemes())})")
@@ -125,10 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated workloads (default: full suite)")
     sweep.add_argument("--max-ops", type=int, default=20_000)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1 = in-process)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-job wall-clock budget in seconds")
+    _add_execution_flags(sweep)
     sweep.add_argument("--move-elim-ablation", action="store_true",
                        help="cross in move-elim off/on instead of always-on")
     sweep.add_argument("--smb-ablation", action="store_true",
@@ -136,24 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--entries", type=str, default="",
                        help="comma-separated tracker sizes overriding the "
                             "per-scheme preset (e.g. 8,16,32; 'unl' = unlimited)")
-    sweep.add_argument("--sample-period", type=int, default=None, metavar="N",
-                       help="run every job in two-speed sampled mode with one "
-                            "detailed window every N retired micro-ops")
-    sweep.add_argument("--sample-window", type=int, default=2_000, metavar="N",
-                       help="measured detailed window length (default 2000)")
-    sweep.add_argument("--warmup", type=int, default=500, metavar="N",
-                       help="detailed warmup before each window (default 500)")
-    sweep.add_argument("--cooldown", type=int, default=300, metavar="N",
-                       help="detailed cooldown after each window (default 300)")
-    sweep.add_argument("--ipc-tolerance", type=float, default=None, metavar="F",
-                       help="error-budget sampled mode: per workload, grow "
-                            "the window count until the IPC 95%% CI relative "
-                            "half-width is <= F; every scheme executes the "
-                            "same frozen window offsets (paired deltas)")
-    sweep.add_argument("--no-farm", action="store_true",
-                       help="disable the shared-warmup checkpoint farm for "
-                            "sampled sweeps (per-scheme independent warming; "
-                            "identical results, more wall-clock)")
+    _add_sampling_flags(sweep, "--sample-window", "--warmup", "--cooldown")
     sweep.add_argument("--cache-dir", default=".trace_cache",
                        help="trace/plan cache directory ('' disables caching)")
     sweep.add_argument("--out-dir", default="sweep_out",
@@ -162,11 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="keep an append-only results store under "
                             "--out-dir and skip cells it already holds "
                             "(interrupted sweeps restart where they stopped)")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress per-job progress lines")
-    sweep.add_argument("--log", default=None, metavar="RUN.jsonl",
-                       help="append structured run events (phases, per-job "
-                            "outcomes, failure warnings) as JSON lines")
     # Hidden chaos knobs (CI + tests): deterministically inject worker
     # crashes / hangs / transient raises / torn store writes.  The sweep
     # must still converge to byte-identical artifacts -- that is the
@@ -187,29 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="figure to (re)produce; repeatable (default: all)")
     paper.add_argument("--smoke", action="store_true",
                        help="reduced grids (CI-sized: well under 2 minutes)")
-    paper.add_argument("--sample-period", type=int, default=None, metavar="N",
-                       help="run every grid cell in two-speed sampled mode "
-                            "with one detailed window every N retired "
-                            "micro-ops")
-    paper.add_argument("--ipc-tolerance", type=float, default=None, metavar="F",
-                       help="error-budget sampled mode for every grid cell: "
-                            "the planner picks the cheapest geometry whose "
-                            "IPC 95%% CI relative half-width is <= F")
-    paper.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes (default 1 = in-process)")
+    _add_sampling_flags(paper)
+    _add_execution_flags(paper)
     paper.add_argument("--seed", type=int, default=1)
-    paper.add_argument("--timeout", type=float, default=None,
-                       help="per-cell wall-clock budget in seconds")
     paper.add_argument("--out-dir", default="artifacts/paper",
                        help="artifact directory (default: artifacts/paper)")
     paper.add_argument("--store", default=None, metavar="RESULTS.jsonl",
                        help="results-store file (default: "
                             "<out-dir>/store/results.jsonl)")
-    paper.add_argument("--quiet", action="store_true",
-                       help="suppress per-cell progress lines")
-    paper.add_argument("--log", default=None, metavar="RUN.jsonl",
-                       help="append structured run events (phases, per-cell "
-                            "outcomes, failure warnings) as JSON lines")
 
     report = sub.add_parser("report", help="re-render a saved sweep artifact")
     report.add_argument("artifact", help="path to a sweep.json file")
@@ -334,18 +319,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _config_from_flags(args: argparse.Namespace) -> CoreConfig:
-    """The core configuration described by run/trace scheme flags."""
-    if args.baseline:
-        return CoreConfig()
-    preset = SCHEME_PRESETS[args.scheme]
-    config = CoreConfig().with_tracker(
-        scheme=preset["scheme"], entries=preset["entries"],
-        counter_bits=preset["counter_bits"])
-    if not args.no_move_elim:
-        config = config.with_move_elimination()
-    if not args.no_smb:
-        config = config.with_smb()
-    return config
+    """The core configuration described by the run/trace machine flags."""
+    return scheme_config("baseline" if args.baseline else args.scheme,
+                         move_elim=not args.no_move_elim, smb=not args.no_smb)
 
 
 def _write_trace_artifacts(tracer, out_dir, rows: int = 64) -> dict[str, Path]:
@@ -453,8 +429,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = core.tracer
     print(result.summary())
     summary = tracer.summary()
-    note = ", event cap hit (raise --window care or TraceConfig.max_events)" \
-        if tracer.truncated else ""
+    note = ", event cap hit (narrow --window)" if tracer.truncated else ""
     print(f"traced window: seq [{args.start}, {args.start + args.window}) -> "
           f"{summary.value('traced_instructions'):.0f} lifecycle(s), "
           f"{len(tracer.events)} event(s), "
@@ -487,10 +462,9 @@ def _make_observability(args: argparse.Namespace, label: str):
     progress = None
     if not args.quiet:
         progress = ProgressReporter(stream=sys.stderr, label=label).job_progress
-    log_path = getattr(args, "log", None)
     logger = None
-    if log_path or not args.quiet:
-        logger = RunLogger(path=log_path,
+    if args.log or not args.quiet:
+        logger = RunLogger(path=args.log,
                            stream=None if args.quiet else sys.stderr)
     return progress, logger
 
@@ -508,54 +482,55 @@ def _finish_observability(logger) -> None:
     logger.close()
 
 
-def _load_spec_file(path: str) -> SweepSpec:
-    """Read a sweep spec document (bare spec or service submission envelope)."""
+def _load_spec_file(path: str):
+    """``(spec, fault plan)`` from a bare spec or a ``POST /sweeps`` envelope.
+
+    An envelope goes through the service's own parser, so the file accepts
+    exactly what the service accepts, ``"faults"`` block included.
+    """
     from repro.service import schemas
 
     try:
-        data = json.loads(Path(path).read_text())
+        body = Path(path).read_bytes()
+        data = json.loads(body)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read spec file {path}: {exc}") from exc
-    if isinstance(data, dict) and "spec" in data:
-        if data.get("api") != schemas.API_VERSION:
-            raise ValueError(f"spec file {path}: unsupported api version "
-                             f"{data.get('api')!r}")
-        return schemas.spec_from_dict(data["spec"])
-    return schemas.spec_from_dict(data)
+    if isinstance(data, dict) and ("api" in data or "spec" in data):
+        return schemas.parse_submission(body)
+    return schemas.spec_from_dict(data), None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec_file(args.spec) if args.spec else SweepSpec(
-            schemes=tuple(args.schemes),
-            workloads=tuple(args.workloads),
-            move_elim=(False, True) if args.move_elim_ablation else (True,),
-            smb=(False, True) if args.smb_ablation else (True,),
-            entries=_parse_entries(args.entries),
-            max_ops=args.max_ops,
-            seed=args.seed,
-            sample_period=args.sample_period,
-            sample_window=args.sample_window,
-            sample_warmup=args.warmup,
-            sample_cooldown=args.cooldown,
-            sample_tolerance=args.ipc_tolerance,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(spec.describe(), file=sys.stderr)
     fault_plan = None
-    if args.inject_faults is not None:
-        from repro.experiments.faults import FaultPlan
+    try:
+        if args.spec:
+            spec, fault_plan = _load_spec_file(args.spec)
+        else:
+            spec = SweepSpec(
+                schemes=tuple(args.schemes),
+                workloads=tuple(args.workloads),
+                move_elim=(False, True) if args.move_elim_ablation else (True,),
+                smb=(False, True) if args.smb_ablation else (True,),
+                entries=_parse_entries(args.entries),
+                max_ops=args.max_ops,
+                seed=args.seed,
+                sample_period=args.sample_period,
+                sample_window=args.sample_window,
+                sample_warmup=args.warmup,
+                sample_cooldown=args.cooldown,
+                sample_tolerance=args.ipc_tolerance,
+            )
+        if args.inject_faults is not None:
+            from repro.experiments.faults import FaultPlan
 
-        try:
             fault_plan = FaultPlan(
                 seed=args.inject_faults, rate=args.fault_rate,
                 **({"kinds": tuple(args.fault_kinds)} if args.fault_kinds
                    else {}))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(spec.describe(), file=sys.stderr)
     timeout = args.timeout
     if fault_plan is not None and timeout is None:
         # An injected hang needs a watchdog to trip; pick a bound well
@@ -571,9 +546,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     stats = ReliabilityStats()
     try:
         report = run_sweep(spec, workers=args.jobs, cache_dir=cache_dir,
-                           timeout=timeout, progress=progress,
-                           farm=not args.no_farm, store=store, logger=logger,
-                           fault_plan=fault_plan, stats=stats)
+                           timeout=timeout, progress=progress, store=store,
+                           logger=logger, fault_plan=fault_plan, stats=stats)
     except KeyboardInterrupt:
         _finish_observability(logger)
         if store is not None:

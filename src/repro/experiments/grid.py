@@ -12,11 +12,14 @@ paper's Figures 7--9).
 Scheme names accepted in a spec are the :data:`SCHEME_PRESETS` keys; each
 preset fixes the tracker sizing the paper uses for that scheme (e.g. the
 32-entry / 3-bit ISRB of Section 6.3) while ``entries`` / ``counter_bits``
-on the spec override it for sizing studies.
+on the spec override it for sizing studies.  :func:`scheme_config` is the
+one place that turns a scheme name into a machine, for sweeps, figures,
+the command line and the bench suite alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.pipeline.config import CoreConfig
@@ -54,6 +57,38 @@ SCHEME_PRESETS: dict[str, dict] = {
 def known_schemes() -> list[str]:
     """Scheme names accepted by :class:`SweepSpec`, in a stable order."""
     return list(SCHEME_PRESETS)
+
+
+#: :func:`scheme_config` sizing argument meaning "the scheme's preset"
+#: (``None`` already means unlimited/unbounded).
+_PRESET = object()
+
+
+def scheme_config(scheme: str, base: CoreConfig | None = None, *,
+                  entries=_PRESET, counter_bits=_PRESET,
+                  move_elim: bool = True, smb: bool = True) -> CoreConfig:
+    """The machine a scheme name means: preset sizing, plus ME, plus SMB.
+
+    ``"baseline"`` is ``base`` itself (default: the no-sharing Table-1
+    machine).  ``entries`` / ``counter_bits`` override the preset only for
+    schemes whose structure uses them (``sizeable`` / ``counters``); on the
+    others they are pinned to the preset.
+    """
+    base = base if base is not None else CoreConfig()
+    if scheme == "baseline":
+        return base
+    preset = SCHEME_PRESETS[scheme]
+    if entries is _PRESET or not preset["sizeable"]:
+        entries = preset["entries"]
+    if counter_bits is _PRESET or not preset["counters"]:
+        counter_bits = preset["counter_bits"]
+    config = base.with_tracker(scheme=preset["scheme"], entries=entries,
+                               counter_bits=counter_bits)
+    if move_elim:
+        config = config.with_move_elimination()
+    if smb:
+        config = config.with_smb()
+    return config
 
 
 @dataclass(frozen=True)
@@ -194,13 +229,6 @@ class SweepSpec:
         """The workloads this sweep runs (spec order, or the default suite)."""
         return self.workloads if self.workloads else tuple(DEFAULT_SUITE)
 
-    def _sizing_points(self, preset: dict) -> list[tuple[int | None, int | None]]:
-        entries_axis = (self.entries if self.entries and preset["sizeable"]
-                        else (preset["entries"],))
-        bits_axis = (self.counter_bits if self.counter_bits and preset["counters"]
-                     else (preset["counter_bits"],))
-        return [(entries, bits) for entries in entries_axis for bits in bits_axis]
-
     def variant_configs(self) -> list[CoreConfig]:
         """Every non-baseline configuration of the sweep, in expansion order.
 
@@ -210,24 +238,18 @@ class SweepSpec:
         """
         configs: list[CoreConfig] = []
         seen: set[str] = set()
-        for scheme_name in self.schemes:
-            preset = SCHEME_PRESETS[scheme_name]
-            for entries, bits in self._sizing_points(preset):
-                for use_me in self.move_elim:
-                    for use_smb in self.smb:
-                        if not use_me and not use_smb:
-                            continue
-                        config = self.base_config.with_tracker(
-                            scheme=preset["scheme"], entries=entries,
-                            counter_bits=bits)
-                        if use_me:
-                            config = config.with_move_elimination()
-                        if use_smb:
-                            config = config.with_smb()
-                        name = config.variant_name()
-                        if name not in seen:
-                            seen.add(name)
-                            configs.append(config)
+        for scheme_name, entries, bits, use_me, use_smb in itertools.product(
+                self.schemes, self.entries or (_PRESET,),
+                self.counter_bits or (_PRESET,), self.move_elim, self.smb):
+            if not use_me and not use_smb:
+                continue
+            config = scheme_config(scheme_name, self.base_config,
+                                   entries=entries, counter_bits=bits,
+                                   move_elim=use_me, smb=use_smb)
+            name = config.variant_name()
+            if name not in seen:
+                seen.add(name)
+                configs.append(config)
         return configs
 
     def expand(self) -> list[Job]:
@@ -263,18 +285,6 @@ class SweepSpec:
     def trace_count(self) -> int:
         """Number of distinct traces the sweep needs (one per workload)."""
         return len(self.resolved_workloads())
-
-    def warm_homogeneous(self) -> bool:
-        """Can every job of this sweep share one checkpoint-farm plan?
-
-        True when all variants keep the base machine's warm structure
-        (memory hierarchy, BTB, RAS) -- tracker/ME/SMB axes never change
-        it, so today's sweeps always qualify; a future axis that resizes
-        caches would automatically fall back to independent warming.
-        """
-        signature = self.base_config.warm_signature()
-        return all(config.warm_signature() == signature
-                   for config in self.variant_configs())
 
     def describe(self) -> str:
         """Multi-line human-readable summary used by ``repro sweep``."""

@@ -163,20 +163,20 @@ def _load_plan(job: Job, cache_root: str, simulator: SampledSimulator):
         lambda: TraceCache(cache_root).get_plan(*job.trace_key, simulator))
 
 
-def _execute_job(payload: tuple[Job, str | None, object | None, bool]
+def _execute_job(payload: tuple[Job, str | None, object | None]
                  ) -> tuple[bool, SimulationResult | None, str | None, float]:
     """Worker entry point (module-level so it pickles under every start method).
 
     ``warmed`` is the job's trace or sample plan when this process warmed
     it; otherwise the job loads it from ``cache_root`` or builds it.
     """
-    job, cache_root, warmed, farm = payload
+    job, cache_root, warmed = payload
     start = time.perf_counter()
     try:
         if job.sampling is not None:
             simulator = SampledSimulator(job.config, job.sampling)
             plan = warmed
-            if farm and plan is None and cache_root is not None:
+            if plan is None and cache_root is not None:
                 plan = _load_plan(job, cache_root, simulator)
             if plan is not None \
                     and plan.sampling == simulator.sampling_fingerprint() \
@@ -201,8 +201,7 @@ def _execute_job(payload: tuple[Job, str | None, object | None, bool]
 def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
              cache_dir: str | None = None,
              progress: ProgressCallback | None = None,
-             warmed: dict | None = None, farm: bool = True,
-             store=None, logger=None,
+             warmed: dict | None = None, store=None, logger=None,
              fault_plan: FaultPlan | None = None,
              retry: RetryPolicy | None = None,
              stats: ReliabilityStats | None = None) -> list[JobResult]:
@@ -226,7 +225,9 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
     :class:`~repro.pipeline.sampling.SamplePlan` for sampled jobs.
     In-process jobs run from it as is.  Pool workers ignore it -- shipping
     traces through pickle per job would cost more than it saves -- and
-    read from ``cache_dir`` instead.
+    read from ``cache_dir`` instead.  A job with neither warms on its own:
+    it replays a freshly built trace, or plans and executes its sampled
+    run independently.
 
     ``store`` is an optional :class:`~repro.paper.store.ResultsStore`:
     jobs it already holds are returned immediately (``from_store=True``)
@@ -251,8 +252,7 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
         return _run_jobs_resumable(jobs, store, workers=workers,
                                    timeout=timeout, cache_dir=cache_dir,
                                    progress=progress, warmed=warmed,
-                                   farm=farm, logger=logger,
-                                   fault_plan=fault_plan,
+                                   logger=logger, fault_plan=fault_plan,
                                    retry=retry, stats=stats)
     cache_root = str(cache_dir) if cache_dir is not None else None
     total = len(jobs)
@@ -271,14 +271,14 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
         backend = InProcessScheduler(_execute_job, retry=retry,
                                      fault_plan=fault_plan, logger=logger,
                                      stats=stats)
-        backend.run(jobs, cache_root=cache_root, warmed=warmed, farm=farm,
+        backend.run(jobs, cache_root=cache_root, warmed=warmed,
                     deliver=_deliver)
     else:
         backend = ProcessPoolScheduler(min(workers, total), _execute_job,
                                        timeout=timeout, retry=retry,
                                        fault_plan=fault_plan, logger=logger,
                                        stats=stats)
-        backend.run(jobs, cache_root=cache_root, farm=farm, deliver=_deliver)
+        backend.run(jobs, cache_root=cache_root, deliver=_deliver)
     return [results[index] for index in range(total)]
 
 
@@ -319,7 +319,7 @@ def _record_with_repair(store, job_result: JobResult,
 def _run_jobs_resumable(jobs: list[Job], store, workers: int,
                         timeout: float | None, cache_dir: str | None,
                         progress: ProgressCallback | None,
-                        warmed: dict | None, farm: bool, logger=None,
+                        warmed: dict | None, logger=None,
                         fault_plan: FaultPlan | None = None,
                         retry: RetryPolicy | None = None,
                         stats: ReliabilityStats | None = None) -> list[JobResult]:
@@ -396,7 +396,7 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
         def _run_claimed(claimed: list[Job]) -> list[JobResult]:
             return run_jobs(claimed, workers=workers, timeout=timeout,
                             cache_dir=cache_dir, progress=_record_and_report,
-                            warmed=warmed, farm=farm, logger=logger,
+                            warmed=warmed, logger=logger,
                             fault_plan=fault_plan, retry=retry, stats=stats)
 
         for (index, _job), job_result in zip(mine, _run_claimed(
@@ -471,7 +471,7 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
 def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
               timeout: float | None = None,
               progress: ProgressCallback | None = None,
-              farm: bool = True, store=None, logger=None,
+              store=None, logger=None,
               fault_plan: FaultPlan | None = None,
               retry: RetryPolicy | None = None,
               stats: ReliabilityStats | None = None) -> SweepReport:
@@ -488,8 +488,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
 
     Sampled sweeps run the shared-warmup checkpoint farm the same way:
     one planning pass per workload in the parent, executed by every scheme
-    job (``farm=False`` restores per-scheme independent warming; results
-    are identical either way, only the wall clock changes).  The report's
+    job (results equal per-scheme independent warming, which
+    ``run_jobs(spec.expand())`` performs).  The report's
     ``cache_stats`` records generated-versus-reused counts only for a
     caller-supplied ``cache_dir``, so the artifact stays byte-identical
     however the sweep was scheduled.
@@ -528,8 +528,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
     if sampling is None:
         warm = cache_dir is not None or len(pending) > len(keys)
     else:
-        warm = farm and spec.warm_homogeneous() \
-            and (cache_dir is not None or bool(pending))
+        warm = cache_dir is not None or bool(pending)
     pool = workers > 1 and len(pending) > 1
     cache_stats: dict[str, int] = {}
     warmed: dict = {}
@@ -576,7 +575,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
         with _phase(logger, "execute", jobs=len(jobs)):
             results = run_jobs(jobs, workers=workers, timeout=timeout,
                                cache_dir=effective_cache_dir, progress=progress,
-                               warmed=warmed, farm=farm, store=store,
+                               warmed=warmed, store=store,
                                logger=logger, fault_plan=fault_plan,
                                retry=retry, stats=stats)
     finally:

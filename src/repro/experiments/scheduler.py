@@ -176,7 +176,7 @@ class InProcessScheduler:
         self._sleep = sleep
 
     def run(self, jobs, cache_root: str | None = None, warmed: dict | None = None,
-            farm: bool = True, deliver: DeliverCallback | None = None) -> None:
+            deliver: DeliverCallback | None = None) -> None:
         warmed = warmed or {}
         for index, job in enumerate(jobs):
             attempt = 1
@@ -186,7 +186,7 @@ class InProcessScheduler:
                     if self.fault_plan is not None:
                         self.fault_plan.trip(job.job_id, attempt, in_process=True)
                     ok, result, error, elapsed = self.execute(
-                        (job, cache_root, warmed.get(job.trace_key), farm))
+                        (job, cache_root, warmed.get(job.trace_key)))
                 except TransientFault as exc:
                     self.stats.transient_faults += 1
                     if attempt < self.retry.max_attempts:
@@ -222,7 +222,7 @@ class _WorkerHandle:
         self.deadline: float | None = None
 
 
-def _worker_main(conn, execute, cache_root, farm, fault_plan) -> None:
+def _worker_main(conn, execute, cache_root, fault_plan) -> None:
     """Worker process loop: receive ``(index, job, attempt)``, send outcome.
 
     Module-level so it pickles under every start method.  SIGINT is
@@ -245,7 +245,7 @@ def _worker_main(conn, execute, cache_root, farm, fault_plan) -> None:
         try:
             if fault_plan is not None:
                 fault_plan.trip(job.job_id, attempt)
-            message = (index, "done", *execute((job, cache_root, None, farm)))
+            message = (index, "done", *execute((job, cache_root, None)))
         except TransientFault as exc:
             message = (index, "transient", False, None, str(exc), 0.0)
         except KeyboardInterrupt:
@@ -280,11 +280,11 @@ class ProcessPoolScheduler:
 
     # -- worker lifecycle -------------------------------------------------------------
 
-    def _spawn(self, cache_root, farm) -> _WorkerHandle:
+    def _spawn(self, cache_root) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.execute, cache_root, farm, self.fault_plan),
+            args=(child_conn, self.execute, cache_root, self.fault_plan),
             daemon=True)
         proc.start()
         child_conn.close()
@@ -312,12 +312,11 @@ class ProcessPoolScheduler:
 
     # -- the dispatch loop ------------------------------------------------------------
 
-    def run(self, jobs, cache_root: str | None = None, warmed: dict | None = None,
-            farm: bool = True, deliver: DeliverCallback | None = None) -> None:
-        # ``warmed`` is accepted for interface parity but unused: shipping
-        # traces and recorded windows through a pipe per job costs more
-        # than it saves, so pool workers read them from the cache directory.
-        del warmed
+    def run(self, jobs, cache_root: str | None = None,
+            deliver: DeliverCallback | None = None) -> None:
+        # Shipping traces and recorded windows through a pipe per job costs
+        # more than it saves, so pool workers read them from the cache
+        # directory.
         total = len(jobs)
         #: (not_before, index, attempt) -- min-heap on dispatch eligibility.
         ready: list[tuple[float, int, int]] = [(0.0, i, 1) for i in range(total)]
@@ -407,7 +406,7 @@ class ProcessPoolScheduler:
                                  pid=candidate.proc.pid,
                                  exitcode=candidate.proc.exitcode, job_id=None)
                     if handle is None:
-                        handle = self._spawn(cache_root, farm)
+                        handle = self._spawn(cache_root)
                     self.stats.attempts += 1
                     handle.index, handle.attempt = index, attempt
                     handle.deadline = (now + self.timeout

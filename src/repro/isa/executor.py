@@ -120,16 +120,6 @@ class DynamicOp:
         for name, value in zip(_DERIVED_FIELD_NAMES, values):
             set_(self, name, value)
 
-    @property
-    def is_call(self) -> bool:
-        """``True`` for call micro-ops."""
-        return self.opcode is Opcode.CALL
-
-    @property
-    def is_return(self) -> bool:
-        """``True`` for return micro-ops."""
-        return self.opcode is Opcode.RET
-
     def __repr__(self) -> str:
         dest = self.dest.name if self.dest else "-"
         return f"DynamicOp(seq={self.seq}, pc={self.pc:#x}, {self.opcode.value}, dest={dest})"
@@ -155,13 +145,6 @@ class Trace:
     def count(self, predicate) -> int:
         """Number of dynamic micro-ops satisfying ``predicate``."""
         return sum(1 for op in self.ops if predicate(op))
-
-    def mix(self) -> dict[str, int]:
-        """Instruction mix summary (by :class:`OpClass` name)."""
-        counts: dict[str, int] = {}
-        for op in self.ops:
-            counts[op.op_class.value] = counts.get(op.op_class.value, 0) + 1
-        return counts
 
 
 class Executor:
@@ -293,30 +276,6 @@ class Executor:
             index = next_index
         return trace
 
-    def _step(self, instruction: Instruction, index: int, seq: int) -> tuple[DynamicOp, int]:
-        """Execute one static instruction, returning its dynamic form and the next index.
-
-        This is the single-step twin of the inlined loop in :meth:`run`
-        (kept for tools and tests that drive the executor one instruction
-        at a time).
-        """
-        static = self._statics[index]
-        if static is None:
-            raise ValueError("cannot step a HALT instruction")
-        pc, opcode, op_cls, dest, srcs, width, src_high8, imm, derived, handler = static
-        result, mem_addr, mem_size, store_value, taken, target_pc, next_index = \
-            handler(self, instruction, index)
-        if dest is not None and result is not None:
-            self._write_reg(dest, result)
-        limit = len(self.program)
-        next_pc = self.program.pc_of(next_index) if next_index < limit else pc + 4
-        dynamic = DynamicOp(
-            seq, pc, index, opcode, op_cls, dest, srcs, width, src_high8,
-            imm, result, mem_addr, mem_size, store_value, next_pc, taken,
-            target_pc, *derived,
-        )
-        return dynamic, next_index
-
     def _execute_move(self, instruction: Instruction) -> int:
         """Register-to-register move semantics, including x86-style partial widths."""
         source = self.read_reg(instruction.srcs[0])
@@ -421,7 +380,7 @@ _ALU_HANDLERS = {
 #
 # Every handler computes the full dynamic effect of one static instruction:
 # ``(result, mem_addr, mem_size, store_value, taken, target_pc, next_index)``.
-# :meth:`Executor._step` indexes this table directly instead of walking an
+# :meth:`Executor.run` indexes this table directly instead of walking an
 # if/elif chain, which keeps the per-micro-op cost flat across opcodes.
 
 #: Precomputed opcode -> OpClass mapping (avoids a function call per micro-op).

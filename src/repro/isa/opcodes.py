@@ -119,9 +119,6 @@ _OPCLASS: dict[Opcode, OpClass] = {
     Opcode.HALT: OpClass.NOP,
 }
 
-#: Opcodes that read or write memory.
-MEMORY_OPCODES = frozenset({Opcode.LOAD, Opcode.FLOAD, Opcode.STORE, Opcode.FSTORE})
-
 #: Conditional branch opcodes (their direction depends on a register value).
 CONDITIONAL_BRANCHES = frozenset({Opcode.BNZ, Opcode.BZ})
 

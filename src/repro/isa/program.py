@@ -52,13 +52,6 @@ class Program:
         """Program counter of the instruction at ``index``."""
         return self.BASE_PC + index * self.BYTES_PER_OP
 
-    def index_of_pc(self, pc: int) -> int:
-        """Instruction index corresponding to program counter ``pc``."""
-        index, remainder = divmod(pc - self.BASE_PC, self.BYTES_PER_OP)
-        if remainder or not 0 <= index < len(self.instructions):
-            raise ValueError(f"pc {pc:#x} does not name an instruction of {self.name}")
-        return index
-
     def target_index(self, label: str) -> int:
         """Instruction index of a label."""
         try:

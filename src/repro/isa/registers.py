@@ -63,15 +63,3 @@ def fp_reg(index: int) -> ArchReg:
     """Return the floating-point architectural register with the given index."""
     return ArchReg(RegClass.FP, index)
 
-
-#: Total number of architectural registers across both classes.
-NUM_ARCH_REGS = NUM_INT_REGS + NUM_FP_REGS
-
-#: All integer architectural registers, in index order.
-INT_REGS = tuple(int_reg(i) for i in range(NUM_INT_REGS))
-
-#: All floating-point architectural registers, in index order.
-FP_REGS = tuple(fp_reg(i) for i in range(NUM_FP_REGS))
-
-#: All architectural registers (integer first, then floating point).
-ALL_REGS = INT_REGS + FP_REGS

@@ -51,8 +51,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.isa.instructions import Instruction, MemOperand
-from repro.isa.opcodes import Opcode
 from repro.isa.program import Program, ProgramBuilder
 from repro.isa.registers import ArchReg, int_reg
 from repro.isa.riscv.decoder import DecodedInsn, decode_all

@@ -15,6 +15,7 @@ simulating anything (``PaperRunSummary.simulated == 0``).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,12 +126,9 @@ def run_paper(figures: tuple[str, ...] | None = None, smoke: bool = False,
                 summary.failures += len(report.failures)
             summary.figure_data.append(spec.extract(reports, smoke=smoke))
 
-    if logger is not None:
-        with logger.phase("render", figures=len(summary.figure_data)):
-            summary.paths = render_figures(summary.figure_data, out,
-                                           mode=summary.mode,
-                                           cells=summary.total_cells)
-    else:
+    render_phase = (logger.phase("render", figures=len(summary.figure_data))
+                    if logger is not None else contextlib.nullcontext())
+    with render_phase:
         summary.paths = render_figures(summary.figure_data, out,
                                        mode=summary.mode,
                                        cells=summary.total_cells)

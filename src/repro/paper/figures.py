@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.grid import SCHEME_PRESETS, SweepSpec
+from repro.experiments.grid import SCHEME_PRESETS, SweepSpec, scheme_config
 from repro.experiments.report import SweepReport, geomean
 from repro.pipeline.config import CoreConfig
 from repro.workloads import DEFAULT_SUITE
@@ -43,24 +43,6 @@ SMOKE_MAX_OPS = 3_000
 LONG_WORKLOADS: tuple[str, ...] = ("long_phase_mix", "long_stride_drift")
 LONG_MAX_OPS = 1_000_000
 LONG_SAMPLE_PERIOD = 50_000
-
-
-def scheme_variant_name(scheme: str, base: CoreConfig,
-                        entries: int | None = None) -> str:
-    """The report-column name a scheme produces under a figure grid.
-
-    Mirrors :meth:`SweepSpec.variant_configs`: preset sizing, move
-    elimination and SMB on.  ``entries`` overrides the preset only for
-    capacity-limited ("sizeable") schemes, exactly as the ``entries`` sweep
-    axis does.
-    """
-    preset = SCHEME_PRESETS[scheme]
-    use_entries = entries if (entries is not None and preset["sizeable"]) \
-        else preset["entries"]
-    config = (base.with_tracker(scheme=preset["scheme"], entries=use_entries,
-                                counter_bits=preset["counter_bits"])
-              .with_move_elimination().with_smb())
-    return config.variant_name()
 
 
 @dataclass(frozen=True)
@@ -247,7 +229,7 @@ class FigureSpec:
                 speedups.update(reports[label].speedups)
         means: dict[str, float] = {}
         for scheme in schemes:
-            variant = scheme_variant_name(scheme, base)
+            variant = scheme_config(scheme, base).variant_name()
             values = [speedups.get(workload, {}).get(variant)
                       for workload in workloads]
             cells = [value for value in values if value is not None]
@@ -299,7 +281,7 @@ class FigureSpec:
                     values.append(None)
                     continue
                 base = CoreConfig().replace(num_int_pregs=prf, num_fp_pregs=prf)
-                variant = scheme_variant_name(scheme, base)
+                variant = scheme_config(scheme, base).variant_name()
                 values.append(report.geomean_speedups().get(variant))
             series_means[scheme] = values
             data.series.append((scheme, values))
@@ -324,7 +306,7 @@ class FigureSpec:
         if small_report is not None and big_report is not None:
             small_base = CoreConfig().replace(num_int_pregs=small_prf,
                                               num_fp_pregs=small_prf)
-            variant = scheme_variant_name("isrb", small_base)
+            variant = scheme_config("isrb", small_base).variant_name()
             ratios = []
             for workload in big_report.workloads:
                 shared = small_report.ipc.get(workload, {}).get(variant)
@@ -356,12 +338,13 @@ class FigureSpec:
         flat = [s for s in schemes if not SCHEME_PRESETS[s]["sizeable"]]
         series_means: dict[str, list[float | None]] = {}
         for scheme in sized:
-            values = [means.get(scheme_variant_name(scheme, base, entries=n))
+            values = [means.get(scheme_config(scheme, base,
+                                              entries=n).variant_name())
                       for n in entries_axis]
             series_means[scheme] = values
             data.series.append((scheme, values))
         for scheme in flat:
-            value = means.get(scheme_variant_name(scheme, base))
+            value = means.get(scheme_config(scheme, base).variant_name())
             data.series.append((scheme, [value] * len(entries_axis)))
             series_means[scheme] = [value] * len(entries_axis)
         # Claim 1: capacity saturates around the paper's 32-entry point.

@@ -103,12 +103,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.result import SimulationResult
 from repro.pipeline.snapshot import CoreSnapshot
-from repro.telemetry.metrics import (
-    CONSTANT_SUFFIXES,
-    MEAN_SUFFIXES,
-    SAMPLING_STOP_REASONS,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import SAMPLING_STOP_REASONS, MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -210,16 +205,6 @@ class SamplingConfig:
                        f"max_windows={self.max_windows!r}")
         return f"SamplingConfig({fields})"
 
-
-#: Per-window statistics that must not be summed across windows when
-#: aggregating: occupancy peaks take the maximum, storage figures are
-#: configuration constants, and ratio/mean statistics are re-derived or
-#: averaged.  Everything else is an additive event counter.  The suffix
-#: conventions live in :mod:`repro.telemetry.metrics` (the registry is
-#: what actually applies them); these aliases remain for readers of this
-#: module.
-_MEAN_SUFFIXES = MEAN_SUFFIXES
-_CONSTANT_SUFFIXES = CONSTANT_SUFFIXES
 
 #: Window-local measurements that are meaningless summed and therefore
 #: excluded from aggregation (``events_per_cycle`` is re-derived from the
@@ -604,10 +589,10 @@ class SampledSimulator:
         The stopping decision must be identical for every tracker scheme of
         a sweep: the checkpoint farm plans once from the sweep's *base*
         configuration, and an independent per-scheme run must freeze the
-        very same geometry or the farm==independent bit-identity (and the
-        matched-offset pairing) would break.  Resetting the tracker, move
-        elimination, SMB, lazy reclamation and tracing to their defaults
-        makes every variant of a warm-homogeneous sweep probe the same
+        very same geometry or the bit-identity of farmed and independent
+        runs (and the matched-offset pairing) would break.  Resetting the
+        tracker, move elimination, SMB, lazy reclamation and tracing to
+        their defaults makes every variant of a sweep probe the same
         machine; the warm-relevant structure (memory hierarchy, BTB, RAS)
         and the register-file sizing are deliberately preserved.
         """

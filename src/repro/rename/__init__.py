@@ -16,12 +16,11 @@ work, including move elimination and SMB integration with whichever
 """
 
 from repro.rename.maps import CommitRenameMap, FreeList, RenameMap
-from repro.rename.renamer import RenameOutcome, Renamer
+from repro.rename.renamer import Renamer
 
 __all__ = [
     "RenameMap",
     "CommitRenameMap",
     "FreeList",
     "Renamer",
-    "RenameOutcome",
 ]

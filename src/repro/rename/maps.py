@@ -65,10 +65,6 @@ class RenameMap:
         """The underlying mapping list (flat architectural index -> preg)."""
         return self._map
 
-    def mapped_registers(self) -> set[int]:
-        """The set of physical registers currently referenced by the map."""
-        return {preg for preg in self._map if preg >= 0}
-
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
     def to_snapshot(self) -> list[int]:
@@ -137,10 +133,6 @@ class FreeList:
         return self._free.popleft()
 
     # -- committed side -----------------------------------------------------------
-
-    def committed_available(self) -> int:
-        """Number of registers free in the committed image."""
-        return len(self._committed_free)
 
     def on_commit_allocate(self, preg: int) -> None:
         """The instruction that allocated ``preg`` committed: it is no longer free."""

@@ -43,53 +43,8 @@ class ProducerInfo:
     is_committed: bool
 
 
-@dataclass(slots=True)
-class RenameOutcome:
-    """Everything the rest of the pipeline needs to know about a renamed micro-op."""
-
-    src_pregs: tuple[int, ...]
-    dest_preg: int | None
-    old_preg: int | None
-    allocated: bool
-    eliminated: bool
-    bypassed: bool
-    bypass_producer: ProducerInfo | None
-    bypass_value_matches: bool
-    share_recorded: bool = False
-
-    @property
-    def shared(self) -> bool:
-        """``True`` when the destination mapping references a shared physical register."""
-        return self.eliminated or self.bypassed
-
-
 #: Callback the pipeline provides to locate a bypass producer by sequence number.
 ProducerResolver = Callable[[int], ProducerInfo | None]
-
-
-class _ScratchEntry:
-    """Stand-in for an InflightOp when renaming outside the pipeline.
-
-    Starts with the same renaming-outcome defaults as
-    :class:`~repro.backend.inflight.InflightOp`; :meth:`Renamer.rename_op`
-    uses one to serve its functional interface from the in-place
-    implementation.
-    """
-
-    __slots__ = ("src_pregs", "dest_preg", "old_preg", "allocated", "eliminated",
-                 "bypassed", "share_recorded", "bypass_producer",
-                 "bypass_value_matches")
-
-    def __init__(self) -> None:
-        self.src_pregs: tuple[int, ...] = ()
-        self.dest_preg: int | None = None
-        self.old_preg: int | None = None
-        self.allocated = False
-        self.eliminated = False
-        self.bypassed = False
-        self.share_recorded = False
-        self.bypass_producer: ProducerInfo | None = None
-        self.bypass_value_matches = True
 
 
 class Renamer:
@@ -134,9 +89,8 @@ class Renamer:
         ``entry`` is a freshly fetched :class:`~repro.backend.inflight
         .InflightOp` (or any object with the same renaming-outcome
         attributes at their defaults); only the fields that deviate from
-        those defaults are written, which is what makes this the pipeline's
-        hot path while :meth:`rename_op` remains the allocation-friendly
-        functional interface.  ``me_candidate`` lets the caller supply a
+        those defaults are written, which keeps the pipeline's hot path free
+        of per-op allocations.  ``me_candidate`` lets the caller supply a
         cached :meth:`MoveEliminationPolicy.is_candidate` verdict (the
         candidacy of a static instruction never changes).
         """
@@ -166,31 +120,6 @@ class Renamer:
         entry.old_preg = self.rename_map.define_flat(op.dest_flat, new_preg)
         entry.dest_preg = new_preg
         entry.allocated = True
-
-    def rename_op(self, op: DynamicOp, history: int = 0, path: int = 0,
-                  resolve_producer: ProducerResolver | None = None,
-                  smb_prediction=None) -> RenameOutcome:
-        """Rename one micro-op and return the resulting mappings.
-
-        Functional wrapper over :meth:`rename_into` (one shared
-        implementation): the pipeline writes outcomes straight into its
-        in-flight entries, while tests and alternative cores get a
-        self-contained :class:`RenameOutcome` value.  ``history`` / ``path``
-        are accepted for interface stability; the SMB prediction itself is
-        supplied by the pipeline through ``smb_prediction`` so that
-        prediction and training use identical state.
-        """
-        scratch = _ScratchEntry()
-        self.rename_into(scratch, op, resolve_producer=resolve_producer,
-                         smb_prediction=smb_prediction)
-        return RenameOutcome(
-            src_pregs=scratch.src_pregs, dest_preg=scratch.dest_preg,
-            old_preg=scratch.old_preg, allocated=scratch.allocated,
-            eliminated=scratch.eliminated, bypassed=scratch.bypassed,
-            bypass_producer=scratch.bypass_producer,
-            bypass_value_matches=scratch.bypass_value_matches,
-            share_recorded=scratch.share_recorded,
-        )
 
     # -- move elimination ---------------------------------------------------------
 

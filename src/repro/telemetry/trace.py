@@ -98,10 +98,6 @@ class PipelineTracer:
 
     # -- recording hooks (called from the core's stage loops) -----------------------
 
-    def wants(self, seq: int) -> bool:
-        """Whether ``seq`` falls inside the traced window."""
-        return self._start <= seq < self._end
-
     def _emit(self, seq: int, stage: str, cycle: int, **fields) -> None:
         if len(self.events) >= self._max_events:
             self.truncated = True

@@ -9,18 +9,12 @@ The public surface is small:
   workload.
 * :func:`generate_trace` -- functionally execute a workload into the dynamic
   micro-op trace consumed by the core model.
-* :func:`install_trace_provider` / :func:`clear_trace_provider` -- hook for
-  the experiment harness's on-disk trace cache: a provider intercepts
-  ``generate_trace(name, max_ops, seed)`` and may return a previously
-  materialised trace instead of re-running the functional executor.
 * ``DEFAULT_SUITE`` -- the ordered list of workloads the benchmark harness
   sweeps by default (integer first, then floating point, as in the paper's
   figures).
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 # Importing the workload modules populates the registry (and the dynamic
 # workload families: fuzz:, riscv:, trace:).
@@ -61,54 +55,21 @@ def build_workload(name: str, seed: int = 1) -> WorkloadImage:
     return get_workload(name).build(seed)
 
 
-#: Signature of a trace provider.  It receives ``(name, max_ops, seed)`` and
-#: returns a :class:`Trace` to use instead of functional execution, or
-#: ``None`` to fall through to the executor (e.g. on a cache miss).
-TraceProvider = Callable[[str, int, int], Optional[Trace]]
-
-_trace_provider: TraceProvider | None = None
-
-
-def install_trace_provider(provider: TraceProvider | None) -> TraceProvider | None:
-    """Install a trace provider consulted by :func:`generate_trace`.
-
-    Returns the previously installed provider so callers can restore it.
-    Passing ``None`` uninstalls the current provider.
-    """
-    global _trace_provider
-    previous = _trace_provider
-    _trace_provider = provider
-    return previous
-
-
-def clear_trace_provider() -> None:
-    """Remove any installed trace provider."""
-    install_trace_provider(None)
-
-
 def generate_trace(name: str, max_ops: int = 20_000, seed: int = 1) -> Trace:
     """Functionally execute workload ``name`` and return its dynamic trace.
 
-    When a trace provider is installed (see :func:`install_trace_provider`)
-    it is consulted first; the executor only runs when the provider declines
-    by returning ``None``.  Traces are deterministic in ``(name, max_ops,
-    seed)``, which is what makes the experiment harness's on-disk cache
-    sound.
+    Traces are deterministic in ``(name, max_ops, seed)``, which is what
+    makes the experiment harness's on-disk cache sound.
     """
-    if _trace_provider is not None:
-        trace = _trace_provider(name, max_ops, seed)
-        if trace is not None:
-            return trace
     return materialize_trace(name, max_ops=max_ops, seed=seed)
 
 
 def materialize_trace(name: str, max_ops: int = 20_000, seed: int = 1) -> Trace:
-    """Materialise a trace *without* consulting the provider hook.
+    """Materialise the trace of workload ``name``.
 
     For ordinary workloads this functionally executes the image; for
     imported-trace workloads (``trace:<path>``) it reads the trace file.
-    This is the primitive the on-disk trace cache itself uses (the provider
-    hook would recurse into the cache).
+    The trace cache and the sweep runner build every trace through it.
     """
     return get_workload(name).trace(max_ops, seed=seed)
 
@@ -154,8 +115,5 @@ __all__ = [
     "generate_trace",
     "materialize_trace",
     "workload_cache_token",
-    "TraceProvider",
-    "install_trace_provider",
-    "clear_trace_provider",
     "DEFAULT_SUITE",
 ]

@@ -14,6 +14,7 @@ from repro.bench import (
     run_benchmarks,
 )
 from repro.experiments.cli import main
+from repro.experiments.grid import scheme_config
 from repro.pipeline.sampling import SamplingConfig
 
 TINY = BenchConfig(
@@ -73,7 +74,7 @@ def test_config_rejects_unknown_scheme():
 
 def test_config_accepts_baseline_pseudo_scheme():
     config = BenchConfig(schemes=("baseline",), workloads=("move_chain",))
-    assert config.config_for_scheme("baseline").variant_name().endswith("base")
+    assert scheme_config(config.schemes[0]).variant_name().endswith("base")
 
 
 def test_smoke_preset_is_reduced():
@@ -85,7 +86,7 @@ def test_smoke_preset_is_reduced():
 
 
 def test_scheme_config_enables_optimisations():
-    config = BenchConfig().config_for_scheme("isrb")
+    config = scheme_config("isrb")
     assert config.move_elimination.enabled
     assert config.smb.enabled
     assert config.tracker.scheme == "isrb"

@@ -1,7 +1,6 @@
-"""Trace-cache hit/miss, persistence and provider-hook tests."""
+"""Trace-cache hit/miss and persistence tests."""
 
 from repro.experiments.cache import TraceCache
-from repro.workloads import clear_trace_provider, generate_trace
 
 
 def test_miss_then_hit(tmp_path):
@@ -58,19 +57,3 @@ def test_warm_generates_each_distinct_trace_once(tmp_path):
     assert (again.stats.generated, again.stats.hits) == (0, 2)
     assert [len(trace) for trace in rewarmed.values()] \
         == [len(trace) for trace in warmed.values()]
-
-
-def test_installed_cache_intercepts_generate_trace(tmp_path):
-    cache = TraceCache(tmp_path)
-    try:
-        with cache:
-            first = generate_trace("move_chain", max_ops=300, seed=1)
-            second = generate_trace("move_chain", max_ops=300, seed=1)
-        assert cache.stats.generated == 1
-        assert cache.stats.hits == 1
-        assert [op.pc for op in first] == [op.pc for op in second]
-        # After uninstall the executor runs directly again (no new stats).
-        generate_trace("move_chain", max_ops=300, seed=1)
-        assert cache.stats.generated == 1
-    finally:
-        clear_trace_provider()

@@ -103,6 +103,47 @@ def test_sweep_inject_faults_matches_clean_artifacts(tmp_path, capsys):
                 == (tmp_path / "clean" / name).read_bytes())
 
 
+#: A two-cell sweep as ``repro sweep --spec`` and ``POST /sweeps`` take it.
+SPEC = {"schemes": ["isrb"], "workloads": ["move_chain"], "max_ops": 500}
+
+
+def _sweep_spec_file(tmp_path, name: str, document) -> int:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(document))
+    return main(["sweep", "--spec", str(path), "--quiet", "--cache-dir", "",
+                 "--out-dir", str(tmp_path / name)])
+
+
+def test_sweep_spec_file_bare_and_envelope_agree(tmp_path, capsys):
+    assert _sweep_spec_file(tmp_path, "bare", SPEC) == 0
+    assert _sweep_spec_file(tmp_path, "envelope", {"api": 1, "spec": SPEC}) == 0
+    assert ((tmp_path / "bare" / "sweep.json").read_bytes()
+            == (tmp_path / "envelope" / "sweep.json").read_bytes())
+
+
+def test_sweep_spec_file_rejects_what_the_service_rejects(tmp_path, capsys):
+    code = _sweep_spec_file(tmp_path, "typo",
+                            {"api": 1, "spec": SPEC, "faultz": {"seed": 1}})
+    assert code == 2
+    assert "faultz" in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+    assert _sweep_spec_file(tmp_path, "v2", {"api": 2, "spec": SPEC}) == 2
+    assert "api version 2" in capsys.readouterr().err
+
+
+def test_sweep_spec_file_runs_the_envelope_fault_plan(tmp_path, capsys):
+    assert _sweep_spec_file(tmp_path, "clean", SPEC) == 0
+    capsys.readouterr()
+    faults = {"seed": 3, "rate": 1.0, "kinds": ["raise"]}
+    assert _sweep_spec_file(tmp_path, "faulty",
+                            {"api": 1, "spec": SPEC, "faults": faults}) == 0
+    err = capsys.readouterr().err
+    assert ("reliability: 4 attempt(s) for 2 job(s), 2 retried "
+            "(2 transient(s))") in err
+    assert ((tmp_path / "faulty" / "sweep.json").read_bytes()
+            == (tmp_path / "clean" / "sweep.json").read_bytes())
+
+
 def test_sweep_rejects_unknown_fault_kind(tmp_path, capsys):
     code = main(["sweep", "--schemes", "isrb", "--workloads", "move_chain",
                  "--max-ops", "500", "--quiet", "--cache-dir", "",

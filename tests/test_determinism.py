@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.grid import SweepSpec
-from repro.experiments.runner import run_sweep
+from repro.experiments.report import build_report
+from repro.experiments.runner import run_jobs, run_sweep
 
 GOLDEN_SWEEP = Path(__file__).parent / "golden" / "sweep_small.md"
 
@@ -95,13 +96,14 @@ def test_sampled_sweep_caches_plans_not_traces(sampled_spec, tmp_path):
     """A cache dir holds shared-warmup plans for sampled sweeps, never traces.
 
     The checkpoint farm must not change a single table cell: cached,
-    uncached and farm-less runs all aggregate identical results (the farm
-    only removes redundant warmup work).
+    uncached and independently warmed runs all aggregate identical results
+    (the farm only removes redundant warmup work).
     """
     cache_dir = tmp_path / "c"
     cached = run_sweep(sampled_spec, workers=1, cache_dir=str(cache_dir))
     uncached = run_sweep(sampled_spec, workers=1, cache_dir=None)
-    unfarmed = run_sweep(sampled_spec, workers=1, cache_dir=None, farm=False)
+    unfarmed = build_report(run_jobs(sampled_spec.expand()),
+                            meta=uncached.meta)
     assert cached.to_markdown() == uncached.to_markdown() == unfarmed.to_markdown()
     assert uncached.to_json() == unfarmed.to_json()
     cached_dict = cached.to_dict()

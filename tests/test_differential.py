@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.grid import SCHEME_PRESETS
+from repro.experiments.grid import known_schemes, scheme_config
 from repro.isa.executor import Executor
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate_trace
@@ -39,15 +39,8 @@ COMMIT_INVARIANT_STATS = ("committed_loads",)
 
 def _scheme_configs() -> dict[str, CoreConfig]:
     """Baseline plus every tracker scheme at its preset sizing (ME + SMB on)."""
-    configs = {"baseline": CoreConfig()}
-    for name, preset in SCHEME_PRESETS.items():
-        configs[name] = (CoreConfig()
-                         .with_tracker(scheme=preset["scheme"],
-                                       entries=preset["entries"],
-                                       counter_bits=preset["counter_bits"])
-                         .with_move_elimination()
-                         .with_smb())
-    return configs
+    return {name: scheme_config(name)
+            for name in ("baseline", *known_schemes())}
 
 
 def _final_digest(workload: str) -> str:

@@ -15,8 +15,9 @@ import pytest
 
 from repro.experiments.cache import TraceCache, plan_cache_key
 from repro.experiments.cli import main as cli_main
-from repro.experiments.grid import SCHEME_PRESETS, SweepSpec
-from repro.experiments.runner import run_sweep
+from repro.experiments.grid import SweepSpec, scheme_config
+from repro.experiments.report import build_report
+from repro.experiments.runner import run_jobs, run_sweep
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig
 from repro.workloads import build_workload
@@ -28,17 +29,6 @@ SAMPLING = SamplingConfig(period=1_000, window=300, warmup=200, cooldown=150)
 #: a walk-recovery scheme, the MIT and the no-sharing baseline -- together
 #: they cover every recovery style the detailed execution distinguishes.
 FARM_SCHEMES = ("baseline", "isrb", "refcount", "mit")
-
-
-def _config_for(scheme: str) -> CoreConfig:
-    if scheme == "baseline":
-        return CoreConfig()
-    preset = SCHEME_PRESETS[scheme]
-    return (CoreConfig()
-            .with_tracker(scheme=preset["scheme"], entries=preset["entries"],
-                          counter_bits=preset["counter_bits"])
-            .with_move_elimination()
-            .with_smb())
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +44,7 @@ def shared_plan():
 @pytest.mark.parametrize("scheme", FARM_SCHEMES)
 def test_farm_result_equals_independent_warming(shared_plan, scheme):
     """execute_plan(shared plan) == run_workload, field for field."""
-    config = _config_for(scheme)
+    config = scheme_config(scheme)
     farmed = SampledSimulator(config, SAMPLING).execute_plan(shared_plan)
     independent = SampledSimulator(config, SAMPLING).run_workload(
         "spill_reload", max_ops=MAX_OPS, seed=1)
@@ -63,9 +53,9 @@ def test_farm_result_equals_independent_warming(shared_plan, scheme):
 
 def test_plan_is_reusable_and_never_mutated(shared_plan):
     """Executing a plan twice (different schemes between) changes nothing."""
-    first = SampledSimulator(_config_for("isrb"), SAMPLING).execute_plan(shared_plan)
-    SampledSimulator(_config_for("mit"), SAMPLING).execute_plan(shared_plan)
-    again = SampledSimulator(_config_for("isrb"), SAMPLING).execute_plan(shared_plan)
+    first = SampledSimulator(scheme_config("isrb"), SAMPLING).execute_plan(shared_plan)
+    SampledSimulator(scheme_config("mit"), SAMPLING).execute_plan(shared_plan)
+    again = SampledSimulator(scheme_config("isrb"), SAMPLING).execute_plan(shared_plan)
     assert first.to_dict() == again.to_dict()
 
 
@@ -79,7 +69,7 @@ def test_plan_is_deterministic():
 
 
 def test_execute_plan_rejects_foreign_geometry(shared_plan):
-    other = SampledSimulator(_config_for("isrb"),
+    other = SampledSimulator(scheme_config("isrb"),
                              SamplingConfig(period=2_000, window=300, warmup=200))
     with pytest.raises(ValueError, match="sampling"):
         other.execute_plan(shared_plan)
@@ -90,12 +80,12 @@ def test_execute_plan_rejects_foreign_machine(shared_plan):
 
     from repro.memory.hierarchy import HierarchyConfig
 
-    small_btb = _config_for("isrb").replace(btb_entries=512)
+    small_btb = scheme_config("isrb").replace(btb_entries=512)
     with pytest.raises(ValueError, match="warm structure"):
         SampledSimulator(small_btb, SAMPLING).execute_plan(shared_plan)
     assert small_btb.warm_signature() != CoreConfig().warm_signature()
     # Sanity: the signature really keys on the warm structures only.
-    assert _config_for("mit").warm_signature() == CoreConfig().warm_signature()
+    assert scheme_config("mit").warm_signature() == CoreConfig().warm_signature()
     resized = dataclasses.replace(
         HierarchyConfig())  # identical hierarchy -> identical signature
     assert CoreConfig().replace(memory=resized).warm_signature() \
@@ -181,16 +171,21 @@ def farm_spec() -> SweepSpec:
     )
 
 
+def _independent(spec: SweepSpec, farmed):
+    """``spec``'s jobs run with no shared plan: each warms on its own."""
+    return build_report(run_jobs(spec.expand()), meta=farmed.meta)
+
+
 def test_farm_sweep_equals_unfarmed_sweep(farm_spec):
-    """The whole-artifact property: farm on == farm off, byte for byte."""
-    farmed = run_sweep(farm_spec, workers=1, cache_dir=None, farm=True)
-    unfarmed = run_sweep(farm_spec, workers=1, cache_dir=None, farm=False)
+    """The whole-artifact property: farmed == independent warming, byte for byte."""
+    farmed = run_sweep(farm_spec, workers=1, cache_dir=None)
+    unfarmed = _independent(farm_spec, farmed)
     assert farmed.to_json() == unfarmed.to_json()
 
 
 def test_farm_sweep_equals_unfarmed_across_pool_sizes(farm_spec, tmp_path):
     farmed = run_sweep(farm_spec, workers=3, cache_dir=str(tmp_path / "farm"))
-    unfarmed = run_sweep(farm_spec, workers=1, cache_dir=None, farm=False)
+    unfarmed = _independent(farm_spec, farmed)
     assert farmed.to_markdown() == unfarmed.to_markdown()
     assert [r.to_dict() for r in farmed.results] \
         == [r.to_dict() for r in unfarmed.results]
@@ -216,8 +211,8 @@ def test_error_budget_farm_sweep_equals_unfarmed_sweep(budget_spec):
     """Adaptive planning probes a scheme-stripped machine, so the farm and
     the independently warmed sweep freeze the same plan and the whole
     artifact stays byte-identical."""
-    farmed = run_sweep(budget_spec, workers=1, cache_dir=None, farm=True)
-    unfarmed = run_sweep(budget_spec, workers=1, cache_dir=None, farm=False)
+    farmed = run_sweep(budget_spec, workers=1, cache_dir=None)
+    unfarmed = _independent(budget_spec, farmed)
     assert farmed.to_json() == unfarmed.to_json()
     windows = [result.stat("sampling_windows") for result in farmed.results]
     assert windows and all(count >= 2 for count in windows)
@@ -226,7 +221,7 @@ def test_error_budget_farm_sweep_equals_unfarmed_sweep(budget_spec):
 
 def test_error_budget_farm_sweep_across_pool_sizes(budget_spec, tmp_path):
     pooled = run_sweep(budget_spec, workers=3, cache_dir=str(tmp_path / "c"))
-    serial = run_sweep(budget_spec, workers=1, cache_dir=None, farm=False)
+    serial = _independent(budget_spec, pooled)
     assert pooled.to_markdown() == serial.to_markdown()
     assert [r.to_dict() for r in pooled.results] \
         == [r.to_dict() for r in serial.results]
@@ -238,10 +233,6 @@ def test_pooled_farm_sweep_without_cache_uses_ephemeral_plans(farm_spec):
     serial = run_sweep(farm_spec, workers=1, cache_dir=None)
     assert pooled.to_json() == serial.to_json()
     assert pooled.cache_stats == {}
-
-
-def test_sweep_warm_homogeneous(farm_spec):
-    assert farm_spec.warm_homogeneous()
 
 
 def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
@@ -259,16 +250,6 @@ def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
     assert len(report.failures) == 2  # baseline + variant, sweep still reports
     assert all("no room for a measured window" in failure["error"]
                for failure in report.failures)
-
-
-def test_cli_sweep_no_farm(tmp_path, capsys):
-    code = cli_main([
-        "sweep", "--schemes", "isrb", "--workloads", "move_chain",
-        "--max-ops", "3000", "--sample-period", "1000",
-        "--sample-window", "300", "--warmup", "200", "--no-farm", "--quiet",
-        "--cache-dir", "", "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "sweep.json").exists()
 
 
 def test_cli_sweep_farm_reports_plan_cache(tmp_path, capsys):

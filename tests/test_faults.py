@@ -384,7 +384,7 @@ def test_concurrent_resumable_runs_partition_work(tmp_path, tiny_jobs):
 
     def other_run():
         time.sleep(0.5)
-        ok, result, _error, _elapsed = _execute_job((jobs[1], None, None, True))
+        ok, result, _error, _elapsed = _execute_job((jobs[1], None, None))
         assert ok
         other.record(jobs[1], result)
         other.release(jobs[1])
@@ -443,7 +443,7 @@ def test_repair_truncates_torn_tail_only(tmp_path, tiny_jobs):
 
 def test_record_torn_then_repair_converges_to_identical_bytes(tmp_path, tiny_jobs):
     jobs = tiny_jobs
-    ok, result, _error, _elapsed = _execute_job((jobs[0], None, None, True))
+    ok, result, _error, _elapsed = _execute_job((jobs[0], None, None))
     assert ok
 
     clean = ResultsStore(tmp_path / "clean.jsonl", fsync=False)
@@ -463,7 +463,7 @@ def test_record_torn_then_repair_converges_to_identical_bytes(tmp_path, tiny_job
 
 def test_compact_canonicalizes_order_duplicates_and_meta(tmp_path, chaos_spec):
     jobs = chaos_spec.expand()
-    executed = [(job, _execute_job((job, None, None, True))[1]) for job in jobs]
+    executed = [(job, _execute_job((job, None, None))[1]) for job in jobs]
 
     forward = ResultsStore(tmp_path / "fwd.jsonl", fsync=False)
     for job, result in executed:

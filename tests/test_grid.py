@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.grid import SCHEME_PRESETS, SweepSpec, known_schemes
+from repro.experiments.grid import (SCHEME_PRESETS, SweepSpec, known_schemes,
+                                    scheme_config)
+from repro.pipeline.config import CoreConfig
 
 
 def test_expansion_count_default_optimisations():
@@ -73,3 +75,22 @@ def test_empty_workloads_means_default_suite():
 def test_presets_cover_every_make_tracker_scheme():
     assert set(known_schemes()) == set(SCHEME_PRESETS)
     assert "refcount_checkpoint" in SCHEME_PRESETS
+
+
+def test_scheme_config_is_the_machine_a_sweep_runs():
+    """One decision per scheme name: a spec's variant is scheme_config's."""
+    for name in known_schemes():
+        spec = SweepSpec(schemes=(name,), workloads=("move_chain",))
+        assert spec.variant_configs() == [scheme_config(name)]
+    assert scheme_config("baseline") == CoreConfig()
+    small = CoreConfig().replace(num_int_pregs=96, num_fp_pregs=96)
+    assert scheme_config("baseline", small) == small
+    plain = scheme_config("isrb", move_elim=False, smb=False)
+    assert not plain.move_elimination.enabled and not plain.smb.enabled
+    # Sizing overrides reach only the structures that use them; None is
+    # "unlimited", not "preset".
+    assert scheme_config("isrb", entries=8).tracker.entries == 8
+    assert scheme_config("isrb", entries=None).tracker.entries is None
+    assert scheme_config("matrix", entries=8) == scheme_config("matrix")
+    assert scheme_config("rda", counter_bits=1) == scheme_config("rda")
+    assert scheme_config("refcount", counter_bits=1).tracker.counter_bits == 1

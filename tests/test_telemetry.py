@@ -25,10 +25,9 @@ import xml.dom.minidom
 import pytest
 
 from repro.experiments.cli import main
-from repro.experiments.grid import SCHEME_PRESETS, Job, SweepSpec, known_schemes
+from repro.experiments.grid import Job, SweepSpec, known_schemes, scheme_config
 from repro.experiments.report import build_report
 from repro.experiments.runner import run_jobs, run_sweep
-from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.telemetry import (
     MetricsRegistry,
@@ -45,15 +44,6 @@ from repro.telemetry.trace import (
     TRACE_SCHEMA_VERSION,
 )
 from repro.workloads import generate_trace
-
-
-def scheme_config(name: str) -> CoreConfig:
-    """The headline (move-elim + SMB) configuration of one scheme preset."""
-    preset = SCHEME_PRESETS[name]
-    return (CoreConfig()
-            .with_tracker(scheme=preset["scheme"], entries=preset["entries"],
-                          counter_bits=preset["counter_bits"])
-            .with_move_elimination().with_smb())
 
 
 def traced_run(workload: str = "alias_trap", scheme: str = "isrb",
