@@ -1,6 +1,6 @@
 """Benchmark case definitions and the suite runner.
 
-The suite has three tiers, mirroring where simulator time actually goes:
+The suite has ten tiers, mirroring where simulator time actually goes:
 
 * ``trace_gen/<workload>`` -- the functional executor, one case per
   benchmarked workload;
@@ -44,7 +44,7 @@ time).  The clock is injectable for unit tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.bench.report import BenchReport, BenchResult, default_meta
@@ -430,16 +430,8 @@ def run_benchmarks(config: BenchConfig | None = None, clock=None,
         tolerance = min(max(achieved if achieved is not None else 0.05,
                             0.001), 0.9)
         fixed_windows = int(fixed.stat("sampling_windows"))
-        budget = SamplingConfig(
-            period=config.adaptive_sampling.period,
-            window=config.adaptive_sampling.window,
-            warmup=config.adaptive_sampling.warmup,
-            cooldown=config.adaptive_sampling.cooldown,
-            warm_gaps=config.adaptive_sampling.warm_gaps,
-            tolerance=tolerance,
-            min_windows=2,
-            max_windows=max(fixed_windows, 2),
-        )
+        budget = replace(config.adaptive_sampling, tolerance=tolerance,
+                         min_windows=2, max_windows=max(fixed_windows, 2))
         adaptive_sim = SampledSimulator(isrb_config, budget)
         image = build_workload(config.adaptive_workload, seed=config.seed)
 

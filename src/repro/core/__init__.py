@@ -23,22 +23,14 @@ This package contains everything Sections 2-4 of the paper describe:
   and bookkeeping.
 * :mod:`repro.core.ddt` -- the Data Dependency Table and commit-side CSN
   tracking that identify store-load / load-load pairs at retirement.
-* :mod:`repro.core.distance` -- the Instruction Distance predictors: the
-  TAGE-like predictor proposed by the paper and the NoSQ-style two-table
-  baseline.
+* :mod:`repro.core.distance` -- the TAGE-like Instruction Distance
+  predictor proposed by the paper.
 * :mod:`repro.core.smb` -- the Speculative Memory Bypassing engine tying
   prediction, ROB lookup, sharing and validation together.
 """
 
 from repro.core.ddt import CommitCsnTable, DataDependencyTable, DdtConfig
-from repro.core.distance import (
-    DistancePrediction,
-    NoSqDistancePredictor,
-    TageDistancePredictor,
-    TageDistanceConfig,
-    NoSqDistanceConfig,
-    make_distance_predictor,
-)
+from repro.core.distance import DistancePrediction, TageDistanceConfig, TageDistancePredictor
 from repro.core.isrb import InflightSharedRegisterBuffer, IsrbConfig
 from repro.core.matrix import BattleMatrixTracker, RothMatrixTracker
 from repro.core.mit import MultipleInstantiationTable
@@ -68,9 +60,6 @@ __all__ = [
     "DistancePrediction",
     "TageDistancePredictor",
     "TageDistanceConfig",
-    "NoSqDistancePredictor",
-    "NoSqDistanceConfig",
-    "make_distance_predictor",
     "SmbEngine",
     "SmbConfig",
 ]

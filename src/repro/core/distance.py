@@ -1,4 +1,4 @@
-"""Instruction Distance predictors (Section 3.1).
+"""The Instruction Distance predictor (Section 3.1).
 
 The Instruction Distance predictor sits in the front end.  Looked up with
 the load's PC, the global branch history and the path history, it predicts
@@ -8,22 +8,14 @@ subtracts that distance from the load's sequence number, finds the producer
 in the ROB and renames the load's destination onto the producer's physical
 register.
 
-Two predictors are implemented:
+:class:`TageDistancePredictor` is the paper's proposal: a TAGE-like
+predictor with a direct-mapped base component and five partially tagged
+components indexed with 2/5/11/27/64 bits of global history mixed with 16
+bits of path history (about 12.2KB).
 
-* :class:`NoSqDistancePredictor` -- the two-table design of NoSQ (Sha et
-  al.): one table indexed by the load PC alone, one by a hash of the PC,
-  8 bits of global branch history and 8 bits of path history; when both
-  hit, the path-indexed table provides the prediction (about 17KB at the
-  paper's sizing);
-* :class:`TageDistancePredictor` -- the paper's proposal: a TAGE-like
-  predictor with a direct-mapped base component and five partially tagged
-  components indexed with 2/5/11/27/64 bits of global history mixed with 16
-  bits of path history (about 12.2KB), which the paper shows captures more
-  SMB potential despite being smaller.
-
-Both predictors only authorise a bypass when the entry's 4-bit confidence
-counter is saturated, because a distance misprediction costs a pipeline
-flush while simply not predicting costs nothing.
+It only authorises a bypass when the entry's 4-bit confidence counter is
+saturated, because a distance misprediction costs a pipeline flush while
+simply not predicting costs nothing.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.common.hashing import fold_bits, mix_hash, tag_hash
+from repro.common.hashing import mix_hash, tag_hash
 
 
 class DistancePrediction(NamedTuple):
@@ -76,165 +68,6 @@ def _restore_table(snapshot: dict) -> dict[int, _DistanceEntry]:
                                    valid=bool(valid))
         for index, (tag, distance, confidence, valid) in snapshot.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# NoSQ-style two-table predictor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoSqDistanceConfig:
-    """Geometry of the NoSQ-style predictor (Table 1: 4K + 4K entries, 17KB)."""
-
-    pc_entries: int = 4096
-    path_entries: int = 4096
-    tag_bits: int = 5
-    distance_bits: int = 8
-    confidence_bits: int = 4
-    history_bits: int = 8
-    path_bits: int = 8
-
-
-class NoSqDistancePredictor:
-    """Two-table (PC-indexed + history-hashed) instruction distance predictor."""
-
-    name = "nosq"
-
-    def __init__(self, config: NoSqDistanceConfig | None = None) -> None:
-        self.config = config or NoSqDistanceConfig()
-        self._pc_table: dict[int, _DistanceEntry] = {}
-        self._path_table: dict[int, _DistanceEntry] = {}
-        self.lookups = 0
-        self.trainings = 0
-
-    # -- indexing -----------------------------------------------------------------
-
-    def _pc_index(self, pc: int) -> tuple[int, int]:
-        index = (pc >> 2) % self.config.pc_entries
-        tag = ((pc >> 2) // self.config.pc_entries) & ((1 << self.config.tag_bits) - 1)
-        return index, tag
-
-    def _path_index(self, pc: int, history: int, path: int) -> tuple[int, int]:
-        # Footnote 4 of the paper: XOR 8 bits of global history with 8 bits
-        # of path history, then XOR with the load address shifted by 4.
-        mixed = fold_bits(history, 64, self.config.history_bits) ^ \
-            fold_bits(path, 32, self.config.path_bits)
-        hashed = (pc << 4) ^ mixed
-        index = (hashed >> 2) % self.config.path_entries
-        tag = ((hashed >> 2) // self.config.path_entries) & ((1 << self.config.tag_bits) - 1)
-        return index, tag
-
-    # -- prediction ---------------------------------------------------------------
-
-    def predict(self, pc: int, history: int, path: int) -> DistancePrediction:
-        """Predict the instruction distance for the load at ``pc``."""
-        self.lookups += 1
-        pc_index, pc_tag = self._pc_index(pc)
-        path_index, path_tag = self._path_index(pc, history, path)
-        max_confidence = (1 << self.config.confidence_bits) - 1
-
-        path_entry = self._path_table.get(path_index)
-        if path_entry is not None and path_entry.valid and path_entry.tag == path_tag:
-            return DistancePrediction(
-                distance=path_entry.distance,
-                confident=path_entry.confidence >= max_confidence,
-                provider=1,
-                provider_index=path_index,
-                indices=(pc_index, path_index),
-                tags=(pc_tag, path_tag),
-            )
-        pc_entry = self._pc_table.get(pc_index)
-        if pc_entry is not None and pc_entry.valid and pc_entry.tag == pc_tag:
-            return DistancePrediction(
-                distance=pc_entry.distance,
-                confident=pc_entry.confidence >= max_confidence,
-                provider=0,
-                provider_index=pc_index,
-                indices=(pc_index, path_index),
-                tags=(pc_tag, path_tag),
-            )
-        return DistancePrediction(
-            distance=None,
-            confident=False,
-            provider=-1,
-            provider_index=0,
-            indices=(pc_index, path_index),
-            tags=(pc_tag, path_tag),
-        )
-
-    # -- training -----------------------------------------------------------------
-
-    def train(self, pc: int, history: int, path: int, actual_distance: int | None,
-              prediction: DistancePrediction | None = None) -> None:
-        """Train with the distance observed at commit (``None`` when no producer was found).
-
-        A confidence counter only grows while the *same* distance keeps being
-        observed; any other outcome -- a different distance, or no producer
-        at all -- resets it, because a confident-but-wrong prediction costs a
-        pipeline flush while not predicting costs nothing (Section 3.1).
-        """
-        self.trainings += 1
-        if prediction is None:
-            prediction = self.predict(pc, history, path)
-            self.lookups -= 1  # the implicit lookup is bookkeeping, not a real access
-        pc_index, path_index = prediction.indices
-        pc_tag, path_tag = prediction.tags
-        if actual_distance is None:
-            # The load had no identified producer: a confident entry must not
-            # stay confident or it will keep triggering doomed bypasses.
-            for table, index, tag in ((self._pc_table, pc_index, pc_tag),
-                                      (self._path_table, path_index, path_tag)):
-                entry = table.get(index)
-                if entry is not None and entry.valid and entry.tag == tag:
-                    entry.confidence = 0
-            return
-        max_distance = (1 << self.config.distance_bits) - 1
-        actual = min(actual_distance, max_distance)
-        for table, index, tag in ((self._pc_table, pc_index, pc_tag),
-                                  (self._path_table, path_index, path_tag)):
-            entry = table.get(index)
-            if entry is None or not entry.valid or entry.tag != tag:
-                # Allocate on a miss (or replace a conflicting entry).
-                table[index] = _DistanceEntry(tag=tag, distance=actual, confidence=0, valid=True)
-                continue
-            if entry.distance == actual:
-                entry.confidence = min(entry.confidence + 1,
-                                       (1 << self.config.confidence_bits) - 1)
-            else:
-                entry.distance = actual
-                entry.confidence = 0
-
-    def punish(self, pc: int, history: int, path: int,
-               prediction: DistancePrediction | None = None) -> None:
-        """A bypass based on this predictor failed validation: clear its confidence."""
-        if prediction is None or not prediction.indices:
-            prediction = self.predict(pc, history, path)
-            self.lookups -= 1
-        pc_index, path_index = prediction.indices
-        pc_tag, path_tag = prediction.tags
-        for table, index, tag in ((self._pc_table, pc_index, pc_tag),
-                                  (self._path_table, path_index, path_tag)):
-            entry = table.get(index)
-            if entry is not None and entry.valid and entry.tag == tag:
-                entry.confidence = 0
-
-    def storage_bits(self) -> int:
-        """Total predictor storage in bits (about 17KB at the default sizing)."""
-        per_entry = self.config.tag_bits + self.config.distance_bits + self.config.confidence_bits
-        return (self.config.pc_entries + self.config.path_entries) * per_entry
-
-    # -- snapshot / restore (two-speed simulation) ----------------------------------
-
-    def to_snapshot(self) -> dict:
-        """Serialise both tables (statistics excluded)."""
-        return {"pc_table": _snapshot_table(self._pc_table),
-                "path_table": _snapshot_table(self._path_table)}
-
-    def restore_snapshot(self, snapshot: dict) -> None:
-        """Overwrite both tables with a :meth:`to_snapshot` image."""
-        self._pc_table = _restore_table(snapshot["pc_table"])
-        self._path_table = _restore_table(snapshot["path_table"])
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +265,3 @@ class TageDistancePredictor:
         self._base = _restore_table(snapshot["base"])
         self._components = [_restore_table(table) for table in snapshot["components"]]
 
-
-def make_distance_predictor(kind: str, config=None):
-    """Instantiate a distance predictor: ``"tage"`` (paper) or ``"nosq"`` (baseline)."""
-    kind = kind.lower()
-    if kind == "tage":
-        return TageDistancePredictor(config)
-    if kind == "nosq":
-        return NoSqDistancePredictor(config)
-    raise ValueError(f"unknown distance predictor kind {kind!r}; expected 'tage' or 'nosq'")

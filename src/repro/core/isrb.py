@@ -185,12 +185,13 @@ class InflightSharedRegisterBuffer(SharingTracker):
         }
         return checkpoint_id
 
-    def restore(self, checkpoint_id: int, discard_younger: bool = True) -> list[int]:
+    def restore(self, checkpoint_id: int) -> list[int]:
         """Restore a checkpoint; returns the physical registers freed during recovery.
 
         Entries freed since the checkpoint was taken have had their
         checkpointed ``referenced`` gang-reset to zero (see
         :meth:`_free_entry`), so restoring never resurrects stale sharers.
+        The restored checkpoint and every younger one are discarded.
         """
         if checkpoint_id not in self._checkpoints:
             raise KeyError(f"unknown ISRB checkpoint {checkpoint_id}")
@@ -205,10 +206,9 @@ class InflightSharedRegisterBuffer(SharingTracker):
                 self._free_entry(preg)
             elif entry.referenced == 0 and entry.committed == 0:
                 self._free_entry(preg)
-        if discard_younger:
-            for other_id in list(self._checkpoints):
-                if other_id >= checkpoint_id:
-                    del self._checkpoints[other_id]
+        for other_id in list(self._checkpoints):
+            if other_id >= checkpoint_id:
+                del self._checkpoints[other_id]
         self.stats.flush_recoveries += 1
         self.stats.registers_freed_on_flush += len(freed)
         return freed

@@ -30,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.ddt import CommitCsnTable, DataDependencyTable, DdtConfig
-from repro.core.distance import (
-    DistancePrediction,
-    NoSqDistanceConfig,
-    TageDistanceConfig,
-    make_distance_predictor,
-)
+from repro.core.distance import DistancePrediction, TageDistancePredictor
 from repro.isa.executor import DynamicOp
 
 
@@ -48,8 +43,9 @@ class SmbConfig:
     enabled:
         Master switch.
     predictor:
-        ``"tage"`` for the paper's TAGE-like Instruction Distance predictor
-        or ``"nosq"`` for the two-table NoSQ-style baseline.
+        The Instruction Distance predictor: only ``"tage"``, the paper's
+        TAGE-like design.  The field stays because its value is part of
+        every variant name and configuration hash.
     allow_load_load:
         Also bypass load-load pairs (Section 3's generalisation); disabling
         this reproduces the store-only ablation of Section 6.2.
@@ -74,6 +70,11 @@ class SmbConfig:
     max_distance: int = 256
     ddt: DdtConfig = field(default_factory=DdtConfig)
     suppress_repeat_failures: bool = True
+
+    def __post_init__(self) -> None:
+        if self.predictor != "tage":
+            raise ValueError(f"unknown distance predictor {self.predictor!r}; "
+                             "expected 'tage'")
 
 
 @dataclass
@@ -125,10 +126,9 @@ class SmbStats:
 class SmbEngine:
     """Prediction, training and accounting for speculative memory bypassing."""
 
-    def __init__(self, config: SmbConfig | None = None, num_arch_regs: int = 32,
-                 predictor_config: TageDistanceConfig | NoSqDistanceConfig | None = None) -> None:
+    def __init__(self, config: SmbConfig | None = None, num_arch_regs: int = 32) -> None:
         self.config = config or SmbConfig()
-        self.predictor = make_distance_predictor(self.config.predictor, predictor_config)
+        self.predictor = TageDistancePredictor()
         self.ddt = DataDependencyTable(self.config.ddt)
         self.csn_table = CommitCsnTable(num_arch_regs)
         self.stats = SmbStats()

@@ -62,10 +62,11 @@ def plan_cache_key(workload: str, max_ops: int, seed: int, simulator) -> str:
     probed IPC, and the warm signature deliberately excludes scheme-neutral
     sizing (e.g. the physical register file) that the probe does see.
     Fixed-geometry keys are byte-identical to what they were before the
-    tolerance field existed, so existing ``.plan.pkl`` files stay valid.
+    tolerance field existed, so existing ``.plan.pkl`` files stay valid;
+    for the same reason every key keeps the ``-w1`` that marked a warmed
+    plan while gap warming could be switched off.
     """
     sampling = simulator.sampling
-    warm = "w1" if sampling.warm_gaps else "w0"
     adaptive = ""
     if sampling.tolerance is not None:
         probe = hashlib.sha256(
@@ -74,7 +75,7 @@ def plan_cache_key(workload: str, max_ops: int, seed: int, simulator) -> str:
                     f"-{sampling.max_windows}-{probe}")
     return (f"{workload_cache_token(workload)}__ops{max_ops}__seed{seed}"
             f"__p{sampling.period}-{sampling.window}-{sampling.warmup}"
-            f"-{sampling.cooldown}-{warm}{adaptive}"
+            f"-{sampling.cooldown}-w1{adaptive}"
             f"__m{simulator.config.warm_signature()}")
 
 
@@ -104,9 +105,13 @@ class TraceCache:
 
     # -- read/write -----------------------------------------------------------------
 
-    def get(self, workload: str, max_ops: int, seed: int) -> Trace | None:
-        """Return the cached trace, or ``None`` on a miss (counted)."""
-        path = self.path(workload, max_ops, seed)
+    def _read(self, path: Path, accept) -> dict | None:
+        """The payload pickled at ``path``, or ``None`` on a miss (counted).
+
+        A missing file is a plain miss.  A torn file, or one whose payload
+        ``accept`` rejects (a stale format, a foreign plan), also counts as
+        invalid; the caller regenerates and overwrites it.
+        """
         try:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
@@ -115,29 +120,16 @@ class TraceCache:
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
-            # Torn write or a stale format: treat as a miss and regenerate.
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CACHE_FORMAT_VERSION
-                or len(payload.get("trace", ())) == 0):
+            payload = None
+        if not isinstance(payload, dict) or not accept(payload):
             self.stats.invalid += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return payload["trace"]
+        return payload
 
-    def put(self, workload: str, max_ops: int, seed: int, trace: Trace) -> Path:
-        """Atomically persist ``trace`` under its key; returns the file path."""
-        path = self.path(workload, max_ops, seed)
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "workload": workload,
-            "max_ops": max_ops,
-            "seed": seed,
-            "trace": trace,
-        }
+    def _write(self, path: Path, payload: dict) -> Path:
+        """Atomically pickle ``payload`` to ``path``; returns the path."""
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -150,6 +142,24 @@ class TraceCache:
                 pass
             raise
         return path
+
+    def get(self, workload: str, max_ops: int, seed: int) -> Trace | None:
+        """Return the cached trace, or ``None`` on a miss (counted)."""
+        payload = self._read(
+            self.path(workload, max_ops, seed),
+            lambda payload: (payload.get("version") == CACHE_FORMAT_VERSION
+                             and len(payload.get("trace", ())) > 0))
+        return None if payload is None else payload["trace"]
+
+    def put(self, workload: str, max_ops: int, seed: int, trace: Trace) -> Path:
+        """Atomically persist ``trace`` under its key; returns the file path."""
+        return self._write(self.path(workload, max_ops, seed), {
+            "version": CACHE_FORMAT_VERSION,
+            "workload": workload,
+            "max_ops": max_ops,
+            "seed": seed,
+            "trace": trace,
+        })
 
     def get_or_generate(self, workload: str, max_ops: int, seed: int) -> Trace:
         """Read-through lookup: functionally execute and persist on a miss."""
@@ -180,57 +190,31 @@ class TraceCache:
 
     def get_plan(self, workload: str, max_ops: int, seed: int, simulator):
         """Return the cached :class:`SamplePlan`, or ``None`` on a miss (counted)."""
-        path = self.plan_path(workload, max_ops, seed, simulator)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != PLAN_FORMAT_VERSION
-                or payload.get("trace_version") != CACHE_FORMAT_VERSION
-                or payload.get("plan") is None):
+
+        def accept(payload: dict) -> bool:
             # A plan embeds recorded Trace/DynamicOp objects, so a trace
-            # layout bump invalidates cached plans too.
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            return None
-        plan = payload["plan"]
-        # The key encodes geometry and machine already; re-verify anyway so
-        # a stale or hand-copied file can never smuggle in a foreign plan.
-        if (plan.sampling != simulator.sampling_fingerprint()
-                or plan.warm_signature != simulator.config.warm_signature()):
-            self.stats.invalid += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return plan
+            # layout bump invalidates cached plans too.  The key encodes
+            # geometry and machine already; re-verify anyway so a stale or
+            # hand-copied file can never smuggle in a foreign plan.
+            plan = payload.get("plan")
+            return (payload.get("version") == PLAN_FORMAT_VERSION
+                    and payload.get("trace_version") == CACHE_FORMAT_VERSION
+                    and plan is not None
+                    and plan.sampling == simulator.sampling_fingerprint()
+                    and plan.warm_signature == simulator.config.warm_signature())
+
+        payload = self._read(
+            self.plan_path(workload, max_ops, seed, simulator), accept)
+        return None if payload is None else payload["plan"]
 
     def put_plan(self, workload: str, max_ops: int, seed: int, simulator,
                  plan) -> Path:
         """Atomically persist a sample plan under its key; returns the file path."""
-        path = self.plan_path(workload, max_ops, seed, simulator)
-        payload = {"version": PLAN_FORMAT_VERSION,
-                   "trace_version": CACHE_FORMAT_VERSION, "workload": workload,
-                   "max_ops": max_ops, "seed": seed, "plan": plan}
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return self._write(
+            self.plan_path(workload, max_ops, seed, simulator),
+            {"version": PLAN_FORMAT_VERSION,
+             "trace_version": CACHE_FORMAT_VERSION, "workload": workload,
+             "max_ops": max_ops, "seed": seed, "plan": plan})
 
     def get_or_plan(self, workload: str, max_ops: int, seed: int, simulator):
         """Read-through lookup: run the planning pass and persist on a miss."""
@@ -243,7 +227,7 @@ class TraceCache:
         self.put_plan(workload, max_ops, seed, simulator, plan)
         return plan
 
-    def warm_plans(self, keys, simulator, lenient: bool = False) -> dict:
+    def warm_plans(self, keys, simulator) -> dict:
         """Materialise the sample plan of every distinct trace key in ``keys``.
 
         Returns the plans by key, in first-seen order.  ``stats.hits``
@@ -251,17 +235,15 @@ class TraceCache:
         the rest -- the acceptance check for "the warmup ran once per
         workload" in checkpoint-farm sweeps.
 
-        ``lenient`` swallows planning failures (a workload that halts
-        before its first window, a budget below the warmup) and leaves the
-        key out: the sweep runner uses it so such a workload fails *its own
-        jobs* with the real error -- the job-side fallback re-plans and
-        reports it -- instead of aborting the whole sweep from the parent.
+        A key whose planning fails (a workload that halts before its first
+        window, a budget below the warmup) is left out, so that workload
+        fails *its own jobs* with the real error -- the job-side fallback
+        re-plans and reports it -- instead of aborting the whole sweep.
         """
         plans = {}
         for key in dict.fromkeys(keys):
             try:
                 plans[key] = self.get_or_plan(*key, simulator)
             except Exception:
-                if not lenient:
-                    raise
+                continue
         return plans

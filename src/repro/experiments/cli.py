@@ -113,13 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sampling_flags(run, "--sample-window", "--warmup")
     run.add_argument("--json", action="store_true",
                      help="print the full result as JSON")
-    run.add_argument("--trace-out", default=None, metavar="DIR",
-                     help="record pipeline lifecycle events for the first "
-                          "--trace-window micro-ops and write trace.jsonl / "
-                          "trace.chrome.json / trace.kanata / timeline.svg "
-                          "under DIR (full-detail runs only)")
-    run.add_argument("--trace-window", type=int, default=256, metavar="N",
-                     help="traced window length in micro-ops (default 256)")
 
     trace = sub.add_parser(
         "trace",
@@ -324,7 +317,7 @@ def _config_from_flags(args: argparse.Namespace) -> CoreConfig:
                          move_elim=not args.no_move_elim, smb=not args.no_smb)
 
 
-def _write_trace_artifacts(tracer, out_dir, rows: int = 64) -> dict[str, Path]:
+def _write_trace_artifacts(tracer, out_dir, rows: int) -> dict[str, Path]:
     """Write every trace export format for one completed traced run."""
     from repro.paper.charts import timeline_chart
 
@@ -349,11 +342,6 @@ def _write_trace_artifacts(tracer, out_dir, rows: int = 64) -> dict[str, Path]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_flags(args)
     sampled = args.sample_period is not None or args.ipc_tolerance is not None
-    if args.trace_out is not None and sampled:
-        print("error: --trace-out requires a full-detail run "
-              "(drop --sample-period/--ipc-tolerance)", file=sys.stderr)
-        return 2
-    core = None
     try:
         if sampled:
             from repro.pipeline.sampling import SamplingConfig, simulate_sampled
@@ -367,11 +355,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 warmup=args.warmup, **extra)
             result = simulate_sampled(args.workload, config, sampling,
                                       max_ops=args.max_ops, seed=args.seed)
-        elif args.trace_out is not None:
-            trace = generate_trace(args.workload, max_ops=args.max_ops,
-                                   seed=args.seed)
-            core = Core(config.with_trace(start=0, limit=args.trace_window))
-            result = core.run(trace)
         else:
             result = simulate(args.workload, config, max_ops=args.max_ops,
                               seed=args.seed)
@@ -406,9 +389,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"{result.stat('sampling_probe_rounds'):.0f} probe "
                       f"round(s), {result.stat('sampling_probe_instructions'):.0f} "
                       "probed micro-ops")
-    if core is not None and core.tracer is not None:
-        paths = _write_trace_artifacts(core.tracer, args.trace_out)
-        print(f"trace artifacts: {paths['jsonl'].parent}", file=sys.stderr)
     return 0
 
 

@@ -67,7 +67,7 @@ from repro.experiments.grid import Job, SweepSpec
 from repro.experiments.report import SweepReport, build_report
 from repro.experiments.scheduler import (InProcessScheduler,
                                          ProcessPoolScheduler,
-                                         ReliabilityStats, RetryPolicy)
+                                         ReliabilityStats, RetryPolicy, _log)
 from repro.pipeline.core import simulate_trace
 from repro.pipeline.result import SimulationResult
 from repro.pipeline.sampling import SampledSimulator
@@ -280,12 +280,6 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
                                        stats=stats)
         backend.run(jobs, cache_root=cache_root, deliver=_deliver)
     return [results[index] for index in range(total)]
-
-
-def _log(logger, level: str, event: str, **fields) -> None:
-    if logger is None:
-        return
-    logger.event(event, level=level, **fields)
 
 
 def _record_with_repair(store, job_result: JobResult,
@@ -551,7 +545,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
                 simulator = SampledSimulator(spec.base_config, sampling)
                 with _phase(logger, "plan", plans=len(keys)):
                     if cache is not None:
-                        warmed = cache.warm_plans(keys, simulator, lenient=True)
+                        warmed = cache.warm_plans(keys, simulator)
                     else:
                         for key in keys:
                             workload, max_ops, seed = key

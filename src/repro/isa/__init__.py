@@ -23,7 +23,7 @@ branch outcomes) consumed by the cycle-level core model.
 """
 
 from repro.isa.executor import DynamicOp, ExecutionLimitExceeded, Executor, Trace
-from repro.isa.functional import ArchSnapshot, FunctionalCore
+from repro.isa.functional import FunctionalCore
 from repro.isa.instructions import Instruction, MemOperand
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import Program, ProgramBuilder
@@ -51,7 +51,6 @@ __all__ = [
     "ProgramBuilder",
     "Executor",
     "FunctionalCore",
-    "ArchSnapshot",
     "DynamicOp",
     "Trace",
     "ExecutionLimitExceeded",

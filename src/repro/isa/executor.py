@@ -157,33 +157,29 @@ class Executor:
     initial_regs:
         Optional initial values for architectural registers.
     initial_memory:
-        Optional initial memory image as a mapping from byte address to byte
-        value (or from aligned address to 64-bit word when ``word_image`` is
-        ``True``).
+        Optional initial memory image as a mapping from aligned address to
+        64-bit word.
     """
 
     def __init__(self, program: Program,
                  initial_regs: dict[ArchReg, int] | None = None,
-                 initial_memory: dict[int, int] | None = None,
-                 word_image: bool = True) -> None:
+                 initial_memory: dict[int, int] | None = None) -> None:
         program.validate()
         self.program = program
         self._int_regs = [0] * NUM_INT_REGS
         self._fp_regs = [0] * NUM_FP_REGS
         self._memory: dict[int, int] = {}
         self._call_stack: list[int] = []
+        #: Static index of the next instruction to execute.
+        self._index = 0
         self._statics = [_precompute_static(program, index, instruction)
                          for index, instruction in enumerate(program.instructions)]
         if initial_regs:
             for reg, value in initial_regs.items():
                 self._write_reg(reg, value)
         if initial_memory:
-            if word_image:
-                for address, value in initial_memory.items():
-                    self._write_memory(address, value & _MASK64, 8)
-            else:
-                for address, value in initial_memory.items():
-                    self._memory[address] = value & 0xFF
+            for address, value in initial_memory.items():
+                self._write_memory(address, value & _MASK64, 8)
 
     # -- architectural state accessors -------------------------------------------
 
@@ -243,7 +239,20 @@ class Executor:
         explicit about termination.
         """
         trace = Trace(name=self.program.name, program=self.program)
-        index = 0
+        self._execute(trace, max_ops)
+        return trace
+
+    def _execute(self, trace: Trace, count: int) -> bool:
+        """Execute from ``self._index`` until ``trace`` holds ``count`` micro-ops.
+
+        The one handler loop behind :meth:`run` and
+        ``FunctionalCore.record``.  Each micro-op's ``seq`` is its position
+        in ``trace``.  Returns ``True`` when it stopped at ``HALT``.
+        ``self._index`` is left at the next instruction to execute, also
+        when a handler raises or the program runs off its end
+        (:class:`ExecutionLimitExceeded`).
+        """
+        index = self._index
         instructions = self.program.instructions
         statics = self._statics
         limit = len(instructions)
@@ -252,29 +261,32 @@ class Executor:
         ops = trace.ops
         append = ops.append
         write_reg = self._write_reg
-        while len(ops) < max_ops:
-            if index >= limit:
-                raise ExecutionLimitExceeded(
-                    f"program {self.program.name!r} ran past its last instruction; "
-                    "add an explicit halt() or loop"
-                )
-            static = statics[index]
-            if static is None:  # HALT
-                break
-            pc, opcode, op_cls, dest, srcs, width, src_high8, imm, derived, handler = static
-            instruction = instructions[index]
-            result, mem_addr, mem_size, store_value, taken, target_pc, next_index = \
-                handler(self, instruction, index)
-            if dest is not None and result is not None:
-                write_reg(dest, result)
-            next_pc = (base_pc + next_index * bytes_per_op) if next_index < limit else pc + 4
-            append(DynamicOp(
-                len(ops), pc, index, opcode, op_cls, dest, srcs, width, src_high8,
-                imm, result, mem_addr, mem_size, store_value, next_pc, taken,
-                target_pc, *derived,
-            ))
-            index = next_index
-        return trace
+        try:
+            while len(ops) < count:
+                if index >= limit:
+                    raise ExecutionLimitExceeded(
+                        f"program {self.program.name!r} ran past its last instruction; "
+                        "add an explicit halt() or loop"
+                    )
+                static = statics[index]
+                if static is None:  # HALT
+                    return True
+                pc, opcode, op_cls, dest, srcs, width, src_high8, imm, derived, handler = static
+                instruction = instructions[index]
+                result, mem_addr, mem_size, store_value, taken, target_pc, next_index = \
+                    handler(self, instruction, index)
+                if dest is not None and result is not None:
+                    write_reg(dest, result)
+                next_pc = (base_pc + next_index * bytes_per_op) if next_index < limit else pc + 4
+                append(DynamicOp(
+                    len(ops), pc, index, opcode, op_cls, dest, srcs, width, src_high8,
+                    imm, result, mem_addr, mem_size, store_value, next_pc, taken,
+                    target_pc, *derived,
+                ))
+                index = next_index
+            return False
+        finally:
+            self._index = index
 
     def _execute_move(self, instruction: Instruction) -> int:
         """Register-to-register move semantics, including x86-style partial widths."""
@@ -380,7 +392,7 @@ _ALU_HANDLERS = {
 #
 # Every handler computes the full dynamic effect of one static instruction:
 # ``(result, mem_addr, mem_size, store_value, taken, target_pc, next_index)``.
-# :meth:`Executor.run` indexes this table directly instead of walking an
+# :meth:`Executor._execute` indexes this table directly instead of walking an
 # if/elif chain, which keeps the per-micro-op cost flat across opcodes.
 
 #: Precomputed opcode -> OpClass mapping (avoids a function call per micro-op).

@@ -9,7 +9,7 @@ fast-forwarded here at hundreds of thousands to millions of micro-ops per
 second, and only the periodic detailed windows are *recorded* into a trace
 that the cycle-level core replays.
 
-Three execution paths share one set of semantics:
+Two execution paths share one set of semantics:
 
 * :meth:`fast_forward` runs per-static-instruction *compiled closures*.
   Each closure is built once, on first visit, from the decoded-field cache
@@ -19,25 +19,16 @@ Three execution paths share one set of semantics:
   the raw lambda tables exported by :mod:`repro.isa.executor`
   (``RAW_BINARY_OPS`` et al.), so the compiled path can never diverge from
   the handler path.
-* :meth:`record` runs the ordinary handler loop (the same one
-  :meth:`Executor.run` uses) from the current architectural state,
-  producing a window :class:`~repro.isa.executor.Trace` whose micro-ops
-  are field-identical to the ones an uninterrupted :class:`Executor` run
-  would have produced at the same position (with window-local sequence
-  numbers).
-* :meth:`to_snapshot` / :meth:`load_snapshot` / :meth:`from_snapshot`
-  serialise the full architectural state (registers, byte-granular memory,
-  call stack, program position) so execution can be suspended and resumed
-  bit-exactly -- the property tests pin ``snapshot -> restore -> resume``
-  against an uninterrupted run via :meth:`Executor.state_digest`.
+* :meth:`record` runs the handler loop of :meth:`Executor.run` from the
+  current architectural state, producing a window
+  :class:`~repro.isa.executor.Trace` whose micro-ops are field-identical
+  to the ones an uninterrupted :class:`Executor` run would have produced
+  at the same position (with window-local sequence numbers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.isa.executor import (
-    DynamicOp,
     ExecutionLimitExceeded,
     Executor,
     RAW_BINARY_OPS,
@@ -52,27 +43,8 @@ from repro.isa.registers import ArchReg, RegClass
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class ArchSnapshot:
-    """A complete, immutable architectural state of a :class:`FunctionalCore`.
-
-    ``memory`` is the byte-granular image as sorted ``(address, byte)``
-    pairs, which makes the snapshot deterministic (and hashable) regardless
-    of the insertion order of the live memory dictionary.
-    """
-
-    program_name: str
-    index: int
-    retired: int
-    halted: bool
-    int_regs: tuple[int, ...]
-    fp_regs: tuple[int, ...]
-    memory: tuple[tuple[int, int], ...]
-    call_stack: tuple[int, ...]
-
-
 class FunctionalCore(Executor):
-    """Architectural executor with fast-forward, windowed recording and snapshots.
+    """Architectural executor with fast-forward and windowed recording.
 
     Unlike :class:`Executor` (one-shot ``run``), a ``FunctionalCore`` keeps
     its position in the program between calls: ``fast_forward`` and
@@ -83,7 +55,7 @@ class FunctionalCore(Executor):
     def __init__(self, program: Program,
                  initial_regs: dict[ArchReg, int] | None = None,
                  initial_memory: dict[int, int] | None = None,
-                 word_image: bool = True, warmer=None) -> None:
+                 warmer=None) -> None:
         """``warmer`` optionally observes the fast-forwarded stream.
 
         When given, the compiled closures additionally call the warmer's
@@ -96,8 +68,7 @@ class FunctionalCore(Executor):
         architectural training state.
         """
         super().__init__(program, initial_regs=initial_regs,
-                         initial_memory=initial_memory, word_image=word_image)
-        self._index = 0
+                         initial_memory=initial_memory)
         self.retired = 0
         self.halted = False
         self._warmer = warmer
@@ -111,50 +82,6 @@ class FunctionalCore(Executor):
         """Build a core from a :class:`~repro.workloads.base.WorkloadImage`."""
         return cls(image.program, initial_regs=image.initial_regs,
                    initial_memory=image.initial_memory, warmer=warmer)
-
-    # -- snapshots ---------------------------------------------------------------
-
-    def to_snapshot(self) -> ArchSnapshot:
-        """Serialise the complete architectural state."""
-        return ArchSnapshot(
-            program_name=self.program.name,
-            index=self._index,
-            retired=self.retired,
-            halted=self.halted,
-            int_regs=tuple(self._int_regs),
-            fp_regs=tuple(self._fp_regs),
-            memory=tuple(sorted(self._memory.items())),
-            call_stack=tuple(self._call_stack),
-        )
-
-    def load_snapshot(self, snapshot: ArchSnapshot) -> None:
-        """Overwrite the architectural state with ``snapshot`` (in place).
-
-        The register lists and the memory dictionary are mutated rather
-        than rebound so that already-compiled fast-forward closures (which
-        capture those objects) keep seeing current state.
-        """
-        if snapshot.program_name != self.program.name:
-            raise ValueError(
-                f"snapshot was taken on program {snapshot.program_name!r}, "
-                f"cannot restore into {self.program.name!r}")
-        if not 0 <= snapshot.index <= len(self.program.instructions):
-            raise ValueError(f"snapshot index {snapshot.index} out of range")
-        self._int_regs[:] = snapshot.int_regs
-        self._fp_regs[:] = snapshot.fp_regs
-        self._memory.clear()
-        self._memory.update(snapshot.memory)
-        self._call_stack[:] = snapshot.call_stack
-        self._index = snapshot.index
-        self.retired = snapshot.retired
-        self.halted = snapshot.halted
-
-    @classmethod
-    def from_snapshot(cls, program: Program, snapshot: ArchSnapshot) -> "FunctionalCore":
-        """Resume a suspended execution: a fresh core holding ``snapshot``'s state."""
-        core = cls(program)
-        core.load_snapshot(snapshot)
-        return core
 
     # -- fast-forward ------------------------------------------------------------
 
@@ -208,41 +135,10 @@ class FunctionalCore(Executor):
                       program=self.program)
         if count <= 0 or self.halted:
             return trace
-        index = self._index
-        instructions = self.program.instructions
-        statics = self._statics
-        limit = len(instructions)
-        base_pc = self.program.BASE_PC
-        bytes_per_op = self.program.BYTES_PER_OP
-        ops = trace.ops
-        append = ops.append
-        write_reg = self._write_reg
-        while len(ops) < count:
-            if index >= limit:
-                self._index = index
-                self.retired += len(ops)
-                raise ExecutionLimitExceeded(
-                    f"program {self.program.name!r} ran past its last instruction; "
-                    "add an explicit halt() or loop")
-            static = statics[index]
-            if static is None:  # HALT
-                self.halted = True
-                break
-            pc, opcode, op_cls, dest, srcs, width, src_high8, imm, derived, handler = static
-            instruction = instructions[index]
-            result, mem_addr, mem_size, store_value, taken, target_pc, next_index = \
-                handler(self, instruction, index)
-            if dest is not None and result is not None:
-                write_reg(dest, result)
-            next_pc = (base_pc + next_index * bytes_per_op) if next_index < limit else pc + 4
-            append(DynamicOp(
-                len(ops), pc, index, opcode, op_cls, dest, srcs, width, src_high8,
-                imm, result, mem_addr, mem_size, store_value, next_pc, taken,
-                target_pc, *derived,
-            ))
-            index = next_index
-        self._index = index
-        self.retired += len(ops)
+        try:
+            self.halted = self._execute(trace, count)
+        finally:
+            self.retired += len(trace)
         return trace
 
     # -- the fast-forward compiler -------------------------------------------------

@@ -135,8 +135,7 @@ def _grid_and_axis(scale, ticks, left: float, right: float,
 
 def bar_chart(title: str, categories: list[str],
               series: list[tuple[str, list[float | None]]],
-              *, y_label: str, anchor: float = 1.0,
-              emphasize_last_category: bool = True) -> str:
+              *, y_label: str, anchor: float = 1.0) -> str:
     """Grouped bar chart; bars grow from the ``anchor`` value (1.0 = baseline).
 
     ``series`` is ``[(name, values)]`` with one value (or ``None`` for a
@@ -165,7 +164,7 @@ def bar_chart(title: str, categories: list[str],
     y_anchor = scale(anchor)
     for cat_index, category in enumerate(categories):
         group_x = left + cat_index * group_w + 9
-        is_summary = emphasize_last_category and cat_index == len(categories) - 1
+        is_summary = cat_index == len(categories) - 1
         for series_index, (name, values) in enumerate(series):
             value = values[cat_index] if cat_index < len(values) else None
             if value is None:

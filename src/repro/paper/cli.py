@@ -15,11 +15,10 @@ simulating anything (``PaperRunSummary.simulated == 0``).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.runner import ProgressCallback, run_sweep
+from repro.experiments.runner import ProgressCallback, _phase, run_sweep
 from repro.paper.figures import FIGURES, FigureData
 from repro.paper.render import render_figures
 from repro.paper.store import ResultsStore
@@ -126,9 +125,7 @@ def run_paper(figures: tuple[str, ...] | None = None, smoke: bool = False,
                 summary.failures += len(report.failures)
             summary.figure_data.append(spec.extract(reports, smoke=smoke))
 
-    render_phase = (logger.phase("render", figures=len(summary.figure_data))
-                    if logger is not None else contextlib.nullcontext())
-    with render_phase:
+    with _phase(logger, "render", figures=len(summary.figure_data)):
         summary.paths = render_figures(summary.figure_data, out,
                                        mode=summary.mode,
                                        cells=summary.total_cells)

@@ -578,9 +578,9 @@ class ResultsStore:
             if fingerprint is not None \
                     and not parsed["config"].startswith(fingerprint):
                 continue
-            rows.append({"key": key, **parsed, "result": payload})
             if limit is not None and len(rows) >= limit:
                 break
+            rows.append({"key": key, **parsed, "result": payload})
         return rows
 
     # -- maintenance (``repro store``) ------------------------------------------------

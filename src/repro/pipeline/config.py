@@ -16,7 +16,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.bpred.tage import TageConfig
-from repro.core.ddt import DdtConfig
 from repro.core.move_elim import MoveEliminationPolicy
 from repro.core.smb import SmbConfig
 from repro.core.tracker import TrackerConfig
@@ -136,14 +135,11 @@ class CoreConfig:
         policy = MoveEliminationPolicy(enabled=enabled, fp_moves=fp_moves)
         return self.replace(move_elimination=policy)
 
-    def with_smb(self, enabled: bool = True, predictor: str = "tage",
-                 allow_load_load: bool = True, bypass_from_committed: bool = False,
-                 ddt_entries: int | None = 16384, ddt_tag_bits: int = 14) -> "CoreConfig":
+    def with_smb(self, enabled: bool = True, allow_load_load: bool = True,
+                 bypass_from_committed: bool = False) -> "CoreConfig":
         """A copy with speculative memory bypassing configured."""
-        smb = SmbConfig(
-            enabled=enabled, predictor=predictor, allow_load_load=allow_load_load,
-            bypass_from_committed=bypass_from_committed,
-            ddt=DdtConfig(entries=ddt_entries, tag_bits=ddt_tag_bits))
+        smb = SmbConfig(enabled=enabled, allow_load_load=allow_load_load,
+                        bypass_from_committed=bypass_from_committed)
         lazy = bypass_from_committed or self.lazy_reclaim
         return self.replace(smb=smb, lazy_reclaim=lazy)
 

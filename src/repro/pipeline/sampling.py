@@ -124,12 +124,6 @@ class SamplingConfig:
     #: measured mid-stream instead of on a pipeline drain.  Should cover the
     #: ROB plus the front-end queue of the measured machine.
     cooldown: int = 300
-    #: Functionally warm long-lived state (caches, prefetcher, DRAM rows,
-    #: BTB, RAS, branch/path history) during the fast-forward gaps.
-    #: Without warming, every window opens on state frozen at the previous
-    #: window's end and memory-bound workloads are systematically
-    #: under-estimated.
-    warm_gaps: bool = True
     #: Error-budget mode: when set, the fixed ``period`` no longer dictates
     #: placement -- the planner spreads windows evenly and grows their count
     #: until the relative Student-t 95% CI half-width of the per-window IPC
@@ -195,10 +189,11 @@ class SamplingConfig:
         # The results store keys cells by a hash of this repr; stay
         # byte-identical to the pre-tolerance dataclass repr whenever the
         # error-budget knobs sit at their defaults (same omit-default rule
-        # as to_dict()).
+        # as to_dict()).  The constant last field names a switch that no
+        # longer exists: the fast-forward gaps are always warmed.
         fields = (f"period={self.period!r}, window={self.window!r}, "
                   f"warmup={self.warmup!r}, cooldown={self.cooldown!r}, "
-                  f"warm_gaps={self.warm_gaps!r}")
+                  "warm_gaps=True")
         if self.tolerance is not None:
             fields += (f", tolerance={self.tolerance!r}, "
                        f"min_windows={self.min_windows!r}, "
@@ -240,16 +235,15 @@ def _aggregate_stats(window_results: list[SimulationResult]) -> dict[str, float]
 
 
 def _resume_with_warm_state(snap: CoreSnapshot | None,
-                            warm: "WarmState | None") -> CoreSnapshot | None:
+                            warm: "WarmState") -> CoreSnapshot | None:
     """Merge a plan's boundary warm image into a scheme's chained snapshot.
 
     The first stretch resumes from nothing (a cold core); later stretches
     resume from the scheme's own snapshot with the functionally warmed
-    structures substituted in.  With gap warming disabled the snapshot is
-    used as-is (the structures stay frozen at the previous window's end).
+    structures substituted in.
     """
-    if snap is None or warm is None:
-        return snap
+    if snap is None:
+        return None
     # The L1I contents and the MSHR / DRAM bank-busy timing deltas are
     # scheme-local (products of the scheme's own detailed windows) and
     # chain through the scheme's snapshot; the warmed data side comes from
@@ -291,7 +285,7 @@ class PlannedStretch:
     """
 
     trace: Trace
-    warm: WarmState | None
+    warm: WarmState
     warm_ops: int
     measure_ops: int
 
@@ -509,7 +503,7 @@ class SampledSimulator:
         fastforwarded, halted)``.
         """
         sampling = self.sampling
-        warmer = _GapWarmer(self.config) if sampling.warm_gaps else None
+        warmer = _GapWarmer(self.config)
         fcore = FunctionalCore.from_image(image, warmer=warmer)
         stretches: list[PlannedStretch] = []
         measured_windows = 0
@@ -539,9 +533,8 @@ class SampledSimulator:
                                  name=f"{name}#w{measured_windows}")
             # The warm image belongs to the stretch *start*: capture before
             # training the warmer over the stretch's own micro-ops.
-            warm_state = warmer.capture() if warmer is not None else None
-            if warmer is not None:
-                warmer.train_trace(trace)
+            warm_state = warmer.capture()
+            warmer.train_trace(trace)
             if len(trace) <= warm_ops:  # halted inside the warmup
                 if len(trace):
                     stretches.append(PlannedStretch(
@@ -701,9 +694,14 @@ class SampledSimulator:
                                detailed_cycles_extra)
 
     def sampling_fingerprint(self) -> dict:
-        """Geometry fingerprint a plan must match to be executable here."""
+        """Geometry fingerprint a plan must match to be executable here.
+
+        The constant gap-warming entry stays so that cached plans and
+        stored cells fingerprinted while gap warming was a switch keep
+        matching.
+        """
         fingerprint = self.sampling.to_dict()
-        fingerprint["warm_gaps"] = self.sampling.warm_gaps
+        fingerprint["warm_gaps"] = True
         return fingerprint
 
     # -- aggregation --------------------------------------------------------------

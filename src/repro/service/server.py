@@ -328,6 +328,9 @@ class ServiceServer:
             except ValueError as exc:
                 raise schemas.SchemaError(
                     "invalid_query", "limit must be an integer") from exc
+            if limit < 0:
+                raise schemas.SchemaError("invalid_query",
+                                          "limit must not be negative")
         unknown = sorted(set(query) - {"workload", "variant", "fingerprint",
                                        "limit"})
         if unknown:

@@ -43,6 +43,10 @@ STAGES = ("fetch", "rename", "dispatch", "issue", "execute", "writeback",
 #: Fields present on every event.
 EVENT_REQUIRED_FIELDS = ("seq", "attempt", "stage", "cycle")
 
+#: Threads of the Chrome trace export; instruction ``n`` lands on lane
+#: ``n % CHROME_LANES``.
+CHROME_LANES = 16
+
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -238,22 +242,22 @@ class PipelineTracer:
         lines.extend(json.dumps(event, sort_keys=True) for event in self.events)
         return "\n".join(lines) + "\n"
 
-    def to_chrome_trace(self, lanes: int = 16) -> dict:
+    def to_chrome_trace(self) -> dict:
         """Chrome trace-event JSON (Perfetto / ``chrome://tracing``).
 
         Each lifecycle contributes one complete ("X") slice per occupied
         pipeline segment -- frontend (fetch->rename), queue
         (rename->issue), execute (issue->writeback), retire
-        (writeback->commit) -- on one of ``lanes`` threads so concurrent
-        instructions render side by side.  ``ts``/``dur`` are in simulated
-        cycles (the viewer's "microseconds" are cycles here).  Squashes
-        appear as instant ("i") events.
+        (writeback->commit) -- on one of :data:`CHROME_LANES` threads so
+        concurrent instructions render side by side.  ``ts``/``dur`` are in
+        simulated cycles (the viewer's "microseconds" are cycles here).
+        Squashes appear as instant ("i") events.
         """
         trace_events: list[dict] = [
             {"ph": "M", "pid": 1, "name": "process_name",
              "args": {"name": f"{self.workload} [{self.scheme or 'core'}]"}},
         ]
-        for lane in range(lanes):
+        for lane in range(CHROME_LANES):
             trace_events.append({"ph": "M", "pid": 1, "tid": lane,
                                  "name": "thread_name",
                                  "args": {"name": f"lane {lane}"}})
@@ -262,7 +266,7 @@ class PipelineTracer:
                     ("execute", "issue", "writeback"),
                     ("retire", "writeback", "commit"))
         for index, row in enumerate(self.timeline()):
-            tid = index % lanes
+            tid = index % CHROME_LANES
             label = f"{row['op']}#{row['seq']}"
             args = {"seq": row["seq"], "attempt": row["attempt"],
                     "pc": row["pc"], "eliminated": row["eliminated"],

@@ -1,6 +1,8 @@
 """Trace-cache hit/miss and persistence tests."""
 
 from repro.experiments.cache import TraceCache
+from repro.pipeline.config import CoreConfig
+from repro.pipeline.sampling import SampledSimulator, SamplingConfig
 
 
 def test_miss_then_hit(tmp_path):
@@ -35,13 +37,21 @@ def test_keys_distinguish_workload_ops_and_seed(tmp_path):
 
 
 def test_corrupt_file_counts_invalid_and_regenerates(tmp_path):
-    cache = TraceCache(tmp_path)
-    cache.get_or_generate("move_chain", 300, 1)
-    cache.path("move_chain", 300, 1).write_bytes(b"not a pickle")
-    trace = cache.get_or_generate("move_chain", 300, 1)
-    assert len(trace) == 300
-    assert cache.stats.invalid == 1
-    assert cache.stats.generated == 2
+    # Trace files and sample-plan files share one read path: corrupt each.
+    simulator = SampledSimulator(CoreConfig(), SamplingConfig(
+        period=600, window=200, warmup=100, cooldown=100))
+    cases = {
+        "trace": (TraceCache.path, TraceCache.get_or_generate,
+                  ("move_chain", 300, 1)),
+        "plan": (TraceCache.plan_path, TraceCache.get_or_plan,
+                 ("move_chain", 1_200, 1, simulator)),
+    }
+    for name, (path, lookup, key) in cases.items():
+        cache = TraceCache(tmp_path / name)
+        first = lookup(cache, *key)
+        path(cache, *key).write_bytes(b"not a pickle")
+        assert lookup(cache, *key) == first, name
+        assert (cache.stats.invalid, cache.stats.generated) == (1, 2), name
 
 
 def test_warm_generates_each_distinct_trace_once(tmp_path):

@@ -5,8 +5,6 @@ The load-bearing contracts:
 * the compiled fast-forward path and the handler-based record path retire
   bit-identical architectural state, and ``record`` produces micro-ops
   field-identical to an uninterrupted :class:`Executor` run;
-* architectural snapshot -> restore -> resume equals uninterrupted
-  execution (digest equality);
 * the sampled driver retires exactly ``max_ops`` micro-ops, reports the
   sampling statistics, and is fully deterministic;
 * the CLI flags reach the sampled path.
@@ -103,32 +101,13 @@ def test_fast_forward_raises_on_fall_off_end():
     builder.halt()
     program = builder.build()
     program.instructions.pop()                   # surgically drop the halt
-    core = FunctionalCore(program)
-    with pytest.raises(ExecutionLimitExceeded):
-        core.fast_forward(10)
-
-
-def test_arch_snapshot_resume_equals_uninterrupted_run():
-    image = build_workload("hash_update", seed=1)
-    split = 1_700
-    first = FunctionalCore.from_image(image)
-    first.fast_forward(split)
-    snapshot = first.to_snapshot()
-    resumed = FunctionalCore.from_snapshot(image.program, snapshot)
-    assert resumed.retired == split
-    resumed.fast_forward(MAX_OPS - split)
-    assert resumed.state_digest() == _run_digest(image, MAX_OPS)
-    # The donor core is unaffected and can continue too.
-    first.fast_forward(MAX_OPS - split)
-    assert first.state_digest() == resumed.state_digest()
-
-
-def test_arch_snapshot_rejects_foreign_program():
-    image = build_workload("branchy", seed=1)
-    other = build_workload("move_chain", seed=1)
-    snapshot = FunctionalCore.from_image(image).to_snapshot()
-    with pytest.raises(ValueError, match="program"):
-        FunctionalCore.from_image(other).load_snapshot(snapshot)
+    for method in ("fast_forward", "record"):
+        core = FunctionalCore(program)
+        with pytest.raises(ExecutionLimitExceeded):
+            getattr(core, method)(10)
+        # The one instruction retired before the core fell off the end.
+        assert core.retired == 1, method
+        assert core.read_reg(int_reg(0)) == 1, method
 
 
 # ---------------------------------------------------------------------------

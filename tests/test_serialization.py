@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.core.smb import SmbConfig
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
 
@@ -43,6 +44,11 @@ def test_config_to_dict_records_sweep_knobs():
     assert data["move_elimination"]["enabled"] is True
     assert data["smb"]["predictor"] == "tage"
     assert data["variant"] == config.variant_name()
+
+
+def test_smb_config_rejects_any_predictor_but_tage():
+    with pytest.raises(ValueError, match="nosq"):
+        SmbConfig(predictor="nosq")
 
 
 def test_speedup_over_guards():

@@ -179,6 +179,7 @@ def test_submit_stream_status_report_and_results(server, tiny_spec):
                for row in rows["results"])
     assert client.results(workload="no_such_workload")["count"] == 0
     assert client.results(limit=1)["count"] == 1
+    assert client.results(limit=0)["count"] == 0
     # Fingerprint prefixes select exactly the cells of that machine config.
     fp = rows["results"][0]["config"]
     narrowed = client.results(fingerprint=fp[:6])
@@ -226,6 +227,7 @@ def test_error_contract_per_endpoint(server, tiny_spec):
     # Query validation on /results.
     expect_error(client, "GET", "/results?bogus=1", 400, "invalid_query")
     expect_error(client, "GET", "/results?limit=lots", 400, "invalid_query")
+    expect_error(client, "GET", "/results?limit=-1", 400, "invalid_query")
     # A finished job's nested junk path.
     sweep = client.submit(spec_dict)
     client.wait(sweep["id"])

@@ -133,6 +133,14 @@ def test_torn_tail_is_not_taken_in_until_its_newline_lands(tmp_path, tiny_jobs):
     assert reader.has(job)
 
 
+def test_query_limit_caps_rows_and_zero_answers_none(tmp_path, tiny_jobs):
+    store = ResultsStore(tmp_path / "results.jsonl", fsync=False)
+    for job in cells(tiny_jobs[0], 4):
+        store.record(job, result_for(job))
+    assert store.query(limit=0) == []
+    assert [len(store.query(limit=n)) for n in (None, 1, 3, 9)] == [4, 1, 3, 4]
+
+
 def lease_bytes_read(monkeypatch, path, jobs) -> int:
     """Bytes read from ``path``'s lease sidecar by one claim per job."""
     real_open = open

@@ -407,19 +407,3 @@ def test_trace_cli_rejects_unknown_workload(tmp_path, capsys):
     assert main(["trace", "no_such_workload",
                  "--out-dir", str(tmp_path)]) == 2
     assert "no_such_workload" in capsys.readouterr().err
-
-
-def test_run_cli_trace_out(tmp_path, capsys):
-    code = main(["run", "move_chain", "--max-ops", "600",
-                 "--trace-out", str(tmp_path), "--trace-window", "32"])
-    assert code == 0
-    for name in ("trace.jsonl", "trace.chrome.json", "trace.kanata",
-                 "timeline.svg"):
-        assert (tmp_path / name).stat().st_size > 0
-
-
-def test_run_cli_trace_out_requires_full_detail(tmp_path, capsys):
-    code = main(["run", "move_chain", "--max-ops", "600",
-                 "--trace-out", str(tmp_path), "--sample-period", "200"])
-    assert code == 2
-    assert "--sample-period" in capsys.readouterr().err
