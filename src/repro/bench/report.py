@@ -39,7 +39,7 @@ class BenchResult:
     """
 
     name: str
-    kind: str  # "trace_gen" | "sim" | "sweep"
+    kind: str  # the kind of its tier in repro.bench.suite.TIERS
     ops: int
     wall_seconds: float
     cycles: int | None = None

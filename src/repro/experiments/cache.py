@@ -221,29 +221,37 @@ class TraceCache:
         plan = self.get_plan(workload, max_ops, seed, simulator)
         if plan is not None:
             return plan
-        image = build_workload(workload, seed=seed)
-        plan = simulator.plan(image, workload, max_ops, workload=workload)
+        plan = _plan(workload, max_ops, seed, simulator)
         self.stats.generated += 1
         self.put_plan(workload, max_ops, seed, simulator, plan)
         return plan
 
-    def warm_plans(self, keys, simulator) -> dict:
-        """Materialise the sample plan of every distinct trace key in ``keys``.
 
-        Returns the plans by key, in first-seen order.  ``stats.hits``
-        counts the ones read back from the cache; the planning pass built
-        the rest -- the acceptance check for "the warmup ran once per
-        workload" in checkpoint-farm sweeps.
+def _plan(workload: str, max_ops: int, seed: int, simulator):
+    """The checkpoint farm's planning pass for one trace key."""
+    image = build_workload(workload, seed=seed)
+    return simulator.plan(image, workload, max_ops, workload=workload)
 
-        A key whose planning fails (a workload that halts before its first
-        window, a budget below the warmup) is left out, so that workload
-        fails *its own jobs* with the real error -- the job-side fallback
-        re-plans and reports it -- instead of aborting the whole sweep.
-        """
-        plans = {}
-        for key in dict.fromkeys(keys):
-            try:
-                plans[key] = self.get_or_plan(*key, simulator)
-            except Exception:
-                continue
-        return plans
+
+def warm_plans(keys, simulator, cache: TraceCache | None = None) -> dict:
+    """Plan every distinct trace key in ``keys`` once, through ``cache`` if given.
+
+    Returns the plans by key, in first-seen order.  With a cache,
+    ``cache.stats.hits`` counts the ones read back from it and the planning
+    pass built the rest -- the acceptance check for "the warmup ran once
+    per workload" in checkpoint-farm sweeps; without one, nothing is
+    pickled.
+
+    A key whose planning fails (a workload that halts before its first
+    window, a budget below the warmup) is left out, so that workload fails
+    *its own jobs* with the real error -- the job-side fallback re-plans
+    and reports it -- instead of aborting the whole sweep.
+    """
+    plan = _plan if cache is None else cache.get_or_plan
+    plans = {}
+    for key in dict.fromkeys(keys):
+        try:
+            plans[key] = plan(*key, simulator)
+        except Exception:
+            continue
+    return plans

@@ -27,8 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from repro.bench.report import BenchReport, compare_reports
+from repro.bench.suite import TIERS, BenchConfig, run_benchmarks
 from repro.experiments.grid import (SCHEME_PRESETS, SweepSpec, known_schemes,
                                     scheme_config)
 from repro.experiments.report import SweepReport
@@ -250,20 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeat", type=int, default=None,
                        help="repeats per case; best wall time is reported "
                             "(default: 2, or 1 with --smoke)")
-    bench.add_argument("--no-sweep", action="store_true",
-                       help="skip the end-to-end sweep tier")
-    bench.add_argument("--no-sampled", action="store_true",
-                       help="skip the sampled-vs-full accuracy tier")
-    bench.add_argument("--no-long", action="store_true",
-                       help="skip the >=1M-op long-horizon tier")
-    bench.add_argument("--no-farm-sweep", action="store_true",
-                       help="skip the checkpoint-farm sweep tier")
-    bench.add_argument("--no-adaptive", action="store_true",
-                       help="skip the adaptive (error-budget) sampling tier")
-    bench.add_argument("--no-paper", action="store_true",
-                       help="skip the paper-figure pipeline tier")
-    bench.add_argument("--no-decode", action="store_true",
-                       help="skip the RV32I decode+lower frontend tier")
+    for tier in TIERS:
+        if tier.flag is not None:
+            bench.add_argument(f"--no-{tier.flag}", action="store_true",
+                               help=tier.help)
     bench.add_argument("--out", default="BENCH_core.json",
                        help="output artifact path ('' = don't write)")
     bench.add_argument("--smoke", action="store_true",
@@ -652,8 +645,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 def _gate_against_baseline(report, baseline_path: str, tolerance: float,
                            kinds: tuple[str, ...] = ()) -> int:
-    from repro.bench import BenchReport, compare_reports
-
     try:
         baseline = BenchReport.load(baseline_path)
     except (OSError, ValueError) as exc:
@@ -672,12 +663,56 @@ def _gate_against_baseline(report, baseline_path: str, tolerance: float,
     return 0
 
 
+def _bench_config(args: argparse.Namespace) -> BenchConfig:
+    """The configuration ``repro bench`` runs (``ValueError`` on bad flags).
+
+    The preset (``--smoke`` or the full suite) supplies every default; the
+    ``--no-<flag>`` switches of :data:`~repro.bench.suite.TIERS` add to its
+    skipped tiers.  A deliberately narrowed run (explicit ``--workloads``,
+    ``--schemes`` or ``--max-ops`` without ``--smoke``) also skips the
+    tiers that ignore the narrowing; the full suite and ``--smoke`` keep
+    them so the committed artifact and the CI gate always carry the cases.
+    """
+    config = BenchConfig.smoke() if args.smoke else BenchConfig()
+    skip = set(config.skip)
+    skip.update(tier.kind for tier in TIERS if tier.flag is not None
+                and getattr(args, "no_" + tier.flag.replace("-", "_")))
+    if not args.smoke and (args.workloads or args.schemes
+                           or args.max_ops is not None):
+        fixed = [tier.kind for tier in TIERS if not tier.in_narrowed]
+        skip.update(fixed)
+        if not args.quiet:
+            print("note: explicit --workloads/--schemes/--max-ops skip the "
+                  f"fixed-scale {', '.join(fixed[:-1])} and {fixed[-1]} tiers; "
+                  "run without them (or with --smoke) to include them",
+                  file=sys.stderr)
+    overrides = {"skip": skip}
+    if args.workloads:
+        overrides["workloads"] = tuple(args.workloads)
+        overrides["sampled_workloads"] = tuple(args.workloads)
+    if args.schemes:
+        overrides["schemes"] = tuple(args.schemes)
+    # None means "not passed": explicit --max-ops/--repeat always win.
+    if args.max_ops is not None:
+        overrides["max_ops"] = args.max_ops
+    if args.repeat is not None:
+        overrides["repeat"] = args.repeat
+    return replace(config, **overrides)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-    from pathlib import Path
-
-    from repro.bench import BenchConfig, BenchReport, run_benchmarks
-
+    # Gate arguments are checked before anything runs: a typo must not
+    # turn a gate into a pass, nor fail only after the whole suite ran.
+    if not 0 <= args.tolerance < 1:
+        print(f"error: --tolerance must be in [0, 1), got {args.tolerance:g}",
+              file=sys.stderr)
+        return 2
+    kinds = [tier.kind for tier in TIERS]
+    bad = [kind for kind in args.gate_kinds if kind not in kinds]
+    if bad:
+        print(f"error: unknown --gate-kinds value(s) {', '.join(bad)}; "
+              f"known: {', '.join(kinds)}", file=sys.stderr)
+        return 2
     if args.check:
         if not args.baseline:
             print("error: --check requires --baseline", file=sys.stderr)
@@ -689,47 +724,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             return 2
         return _gate_against_baseline(report, args.baseline, args.tolerance,
                                       kinds=args.gate_kinds)
-
-    config = BenchConfig.smoke() if args.smoke else BenchConfig()
-    overrides = {}
-    if args.workloads:
-        overrides["workloads"] = tuple(args.workloads)
-        overrides["sampled_workloads"] = tuple(args.workloads)
-    if args.schemes:
-        overrides["schemes"] = tuple(args.schemes)
-    if args.no_sampled:
-        overrides["sampled"] = False
-    if args.no_long:
-        overrides["long_workloads"] = ()
-    # A deliberately narrowed local run must not pay for the fixed-scale
-    # tiers (the farm tier is a double multi-scheme sweep over 1M
-    # micro-ops; the paper tier ignores the narrowing flags entirely); the
-    # full default suite and --smoke keep them so the committed artifact
-    # and the CI gate always carry the cases.
-    narrowed = not args.smoke and (args.workloads or args.schemes
-                                   or args.max_ops is not None)
-    if args.no_paper or narrowed:
-        overrides["paper"] = False
-    if args.no_farm_sweep or narrowed:
-        overrides["farm_sweep"] = False
-    if args.no_adaptive or narrowed:
-        overrides["adaptive"] = False
-    if narrowed and not args.quiet:
-        print("note: explicit --workloads/--schemes/--max-ops skip the "
-              "fixed-scale sweep_farm, adaptive and paper tiers; run without "
-              "them (or with --smoke) to include them", file=sys.stderr)
-    # None means "not passed": explicit --max-ops/--repeat always win, the
-    # preset (smoke or full) supplies the default otherwise.
-    if args.max_ops is not None:
-        overrides["max_ops"] = args.max_ops
-    if args.repeat is not None:
-        overrides["repeat"] = args.repeat
-    if args.no_sweep:
-        overrides["sweep"] = False
-    if args.no_decode:
-        overrides["decode"] = False
     try:
-        config = replace(config, **overrides) if overrides else config
+        config = _bench_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

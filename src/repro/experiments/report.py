@@ -19,12 +19,12 @@ from pathlib import Path
 from repro.pipeline.result import SimulationResult
 
 
-def _failure_gist(error: str | None) -> str:
-    """One-line summary of a recorded failure (tracebacks keep only the
-    exception line; see :func:`repro.experiments.runner.failure_summary`)."""
-    from repro.experiments.runner import failure_summary
-
-    return failure_summary(error)
+def failure_summary(error: str | None) -> str:
+    """One-line gist of a job failure (the exception line of a traceback)."""
+    if not error:
+        return "unknown failure"
+    lines = [line.strip() for line in error.strip().splitlines() if line.strip()]
+    return lines[-1] if lines else "unknown failure"
 
 
 def geomean(values) -> float:
@@ -103,7 +103,7 @@ class SweepReport:
                 lines.append(f"- `{failure['job_id']}` "
                              f"({failure.get('workload', '?')}, "
                              f"{failure.get('variant', '?')}): "
-                             f"{_failure_gist(failure.get('error'))}")
+                             f"{failure_summary(failure.get('error'))}")
         return "\n".join(lines)
 
     def _cycle_skipping_line(self) -> str:

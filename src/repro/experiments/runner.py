@@ -61,17 +61,17 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.experiments.cache import TraceCache, plan_cache_key
+from repro.experiments.cache import TraceCache, plan_cache_key, warm_plans
 from repro.experiments.faults import FaultPlan
 from repro.experiments.grid import Job, SweepSpec
-from repro.experiments.report import SweepReport, build_report
+from repro.experiments.report import SweepReport, build_report, failure_summary
 from repro.experiments.scheduler import (InProcessScheduler,
                                          ProcessPoolScheduler,
                                          ReliabilityStats, RetryPolicy, _log)
 from repro.pipeline.core import simulate_trace
 from repro.pipeline.result import SimulationResult
 from repro.pipeline.sampling import SampledSimulator
-from repro.workloads import build_workload, materialize_trace
+from repro.workloads import materialize_trace
 
 #: Poll period while waiting on cells leased by a concurrent resumable run.
 _AWAIT_POLL_SECONDS = 0.25
@@ -96,14 +96,6 @@ class JobResult:
 
 #: Progress callback signature: ``(completed_count, total, job_result)``.
 ProgressCallback = Callable[[int, int, JobResult], None]
-
-
-def failure_summary(error: str | None) -> str:
-    """One-line gist of a job failure (the exception line of a traceback)."""
-    if not error:
-        return "unknown failure"
-    lines = [line.strip() for line in error.strip().splitlines() if line.strip()]
-    return lines[-1] if lines else "unknown failure"
 
 
 def _note_failure(logger, job_result: JobResult) -> None:
@@ -310,6 +302,14 @@ def _record_with_repair(store, job_result: JobResult,
     store.record(job_result.job, job_result.result, meta=meta)
 
 
+def _count_claim(stats: ReliabilityStats, logger, job: Job, grant: str) -> None:
+    """Account for a lease this run won (``grant`` from ``store.claim``)."""
+    stats.leases_claimed += 1
+    if grant == "reclaimed":
+        stats.leases_reclaimed += 1
+        _log(logger, "warning", "lease_reclaimed", job_id=job.job_id)
+
+
 def _run_jobs_resumable(jobs: list[Job], store, workers: int,
                         timeout: float | None, cache_dir: str | None,
                         progress: ProgressCallback | None,
@@ -344,10 +344,7 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
             if grant is None:
                 theirs.append((index, job))
                 continue
-            stats.leases_claimed += 1
-            if grant == "reclaimed":
-                stats.leases_reclaimed += 1
-                _log(logger, "warning", "lease_reclaimed", job_id=job.job_id)
+            _count_claim(stats, logger, job, grant)
             mine.append((index, job))
 
         # Close the miss->claim race: a concurrent run may have recorded a
@@ -397,6 +394,16 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
                 [job for _index, job in mine])):
             by_index[index] = job_result
 
+        def _awaited(index: int, job: Job) -> None:
+            """Report a cell a concurrent run recorded, read back from the store."""
+            job_result = JobResult(job=job, ok=True, result=store.get(job),
+                                   from_store=True)
+            stats.cells_awaited += 1
+            by_index[index] = job_result
+            counter["done"] += 1
+            if progress is not None:
+                progress(counter["done"], total, job_result)
+
         # Await cells a concurrent resumable run holds leases on: poll the
         # store for their results, reclaim any whose lease went stale
         # (owner crashed) and run those ourselves.  Liveness: a concurrent
@@ -409,43 +416,24 @@ def _run_jobs_resumable(jobs: list[Job], store, workers: int,
             store.reload()
             for index, job in waiting:
                 if store.has(job):
-                    job_result = JobResult(job=job, ok=True,
-                                           result=store.get(job),
-                                           from_store=True)
-                    stats.cells_awaited += 1
-                    by_index[index] = job_result
-                    counter["done"] += 1
+                    _awaited(index, job)
                     progressed = True
-                    if progress is not None:
-                        progress(counter["done"], total, job_result)
                     continue
                 grant = store.claim(job)
-                if grant is not None:
-                    # Same miss->claim race as above: the owner may have
-                    # recorded and released between our reload and this
-                    # claim winning.
-                    store.reload()
-                    if store.has(job):
-                        store.release(job)
-                        job_result = JobResult(job=job, ok=True,
-                                               result=store.get(job),
-                                               from_store=True)
-                        stats.cells_awaited += 1
-                        by_index[index] = job_result
-                        counter["done"] += 1
-                        progressed = True
-                        if progress is not None:
-                            progress(counter["done"], total, job_result)
-                        continue
-                    stats.leases_claimed += 1
-                    if grant == "reclaimed":
-                        stats.leases_reclaimed += 1
-                        _log(logger, "warning", "lease_reclaimed",
-                             job_id=job.job_id)
-                    by_index[index] = _run_claimed([job])[0]
-                    progressed = True
+                if grant is None:
+                    still.append((index, job))
                     continue
-                still.append((index, job))
+                progressed = True
+                # Same miss->claim race as above: the owner may have
+                # recorded and released between our reload and this claim
+                # winning.
+                store.reload()
+                if store.has(job):
+                    store.release(job)
+                    _awaited(index, job)
+                    continue
+                _count_claim(stats, logger, job, grant)
+                by_index[index] = _run_claimed([job])[0]
             waiting = still
             if waiting and not progressed:
                 time.sleep(_AWAIT_POLL_SECONDS)
@@ -544,19 +532,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
             else:
                 simulator = SampledSimulator(spec.base_config, sampling)
                 with _phase(logger, "plan", plans=len(keys)):
-                    if cache is not None:
-                        warmed = cache.warm_plans(keys, simulator)
-                    else:
-                        for key in keys:
-                            workload, max_ops, seed = key
-                            try:
-                                image = build_workload(workload, seed=seed)
-                                warmed[key] = simulator.plan(
-                                    image, workload, max_ops, workload=workload)
-                            except Exception:
-                                # The job-side fallback reproduces and
-                                # reports it.
-                                continue
+                    warmed = warm_plans(keys, simulator, cache)
             if cache_dir is not None:
                 kind = "traces" if sampling is None else "plans"
                 reused = cache.stats.hits

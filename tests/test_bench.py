@@ -13,7 +13,8 @@ from repro.bench import (
     compare_reports,
     run_benchmarks,
 )
-from repro.experiments.cli import main
+from repro.bench.suite import TIERS
+from repro.experiments.cli import _bench_config, _build_parser, main
 from repro.experiments.grid import scheme_config
 from repro.pipeline.sampling import SamplingConfig
 
@@ -22,14 +23,16 @@ TINY = BenchConfig(
     schemes=("baseline", "isrb"),
     max_ops=300,
     repeat=1,
-    sweep=True,
+    # sampled_long runs >=1M-op workloads; the paper tier runs the
+    # fixed-scale smoke figure grids, has its own dedicated test below and
+    # would dominate this fixture's runtime.
+    skip=("sampled_long", "paper"),
     sweep_workloads=("move_chain",),
     sweep_schemes=("isrb",),
     ff_max_ops=600,
     sampled_workloads=("move_chain",),
     sampled_max_ops=600,
     sampling=SamplingConfig(period=200, window=60, warmup=50, cooldown=40),
-    long_workloads=(),
     farm_workload="move_chain",
     farm_schemes=("isrb", "refcount"),
     farm_max_ops=800,
@@ -37,9 +40,6 @@ TINY = BenchConfig(
     adaptive_workload="move_chain",
     adaptive_max_ops=800,
     adaptive_sampling=SamplingConfig(period=200, window=60, warmup=50, cooldown=40),
-    # The paper tier runs the fixed-scale smoke figure grids; it has its
-    # own dedicated test below and would dominate this fixture's runtime.
-    paper=False,
 )
 
 #: CLI flags shared by the bench CLI tests: skip the expensive default-suite
@@ -83,6 +83,33 @@ def test_smoke_preset_is_reduced():
     assert smoke.max_ops < full.max_ops
     assert len(smoke.workloads) < len(full.workloads)
     assert len(smoke.schemes) < len(full.schemes)
+
+
+def test_config_skips_only_switchable_tiers():
+    # trace_gen, sim and ff always run: sim replays trace_gen's traces.
+    for kind in ("nope", "trace_gen"):
+        with pytest.raises(ValueError, match="cannot be skipped"):
+            BenchConfig(skip=("sampled", kind))
+
+
+def test_cli_selects_the_parent_tiers_without_running_them():
+    """Which tiers the default suite, --smoke, CI's sim-only gate and a
+    narrowed run select, read off their configurations."""
+    def kinds(*argv: str) -> list[str]:
+        args = _build_parser().parse_args(["bench", "--quiet", *argv])
+        return [tier.kind for tier in _bench_config(args).tiers()]
+
+    assert [tier.kind for tier in TIERS] == kinds() == [
+        "trace_gen", "sim", "ff", "decode", "sampled", "sampled_long",
+        "sweep_farm", "adaptive", "paper", "sweep"]
+    assert kinds("--smoke") == [
+        "trace_gen", "sim", "ff", "decode", "sampled", "sweep_farm",
+        "adaptive", "paper", "sweep"]
+    assert kinds("--smoke", "--no-paper", "--no-farm-sweep", "--no-sampled",
+                 "--no-sweep", "--no-adaptive", "--no-decode") \
+        == ["trace_gen", "sim", "ff"]
+    assert kinds("--workloads", "move_chain") == [
+        "trace_gen", "sim", "ff", "decode", "sampled", "sampled_long", "sweep"]
 
 
 def test_scheme_config_enables_optimisations():
@@ -192,9 +219,9 @@ def test_summary_metrics_present_and_positive(tiny_report):
 def test_paper_tier_times_the_smoke_pipeline():
     """The paper/smoke case records cells-per-second of the whole pipeline."""
     config = BenchConfig(workloads=("move_chain",), schemes=("baseline",),
-                         max_ops=300, repeat=1, sweep=False, sampled=False,
-                         long_workloads=(), farm_sweep=False, adaptive=False,
-                         paper=True)
+                         max_ops=300, repeat=1,
+                         skip=("sampled", "sampled_long", "sweep_farm",
+                               "adaptive", "sweep"))
     report = run_benchmarks(config)
     by_name = {result.name: result for result in report.results}
     paper = by_name["paper/smoke"]
@@ -207,8 +234,8 @@ def test_paper_tier_times_the_smoke_pipeline():
 
 def test_progress_callback_sees_every_case():
     seen: list[str] = []
-    run_benchmarks(TINY, clock=FakeClock(), progress=seen.append)
-    assert len(seen) == len(run_benchmarks(TINY, clock=FakeClock()).results)
+    report = run_benchmarks(TINY, clock=FakeClock(), progress=seen.append)
+    assert seen == [result.name for result in report.results]
 
 
 # -- report round trip ---------------------------------------------------------------
@@ -380,6 +407,37 @@ def test_cli_bench_profile_prints_hotspots_and_never_saves(tmp_path, capsys):
     assert "cumulative" in captured.err        # pstats table went to stderr
     assert "not saved" in captured.err
     assert not out.exists(), "profiler-inflated timings must never be saved"
+
+
+def test_cli_bench_rejects_unknown_gate_kind(tmp_path, capsys):
+    """A misspelt --gate-kinds must not turn the gate into a pass."""
+    slow, base = tmp_path / "slow.json", tmp_path / "base.json"
+    _report_with(10.0).save(slow)
+    _report_with(100.0).save(base)
+    check = ["bench", "--check", str(slow), "--baseline", str(base),
+             "--tolerance", "0.03"]
+    assert main([*check, "--gate-kinds", "sim"]) == 1
+    capsys.readouterr()
+    assert main([*check, "--gate-kinds", "simm"]) == 2
+    err = capsys.readouterr().err
+    assert "simm" in err and "no regressions" not in err
+
+
+def test_cli_bench_rejects_tolerance_outside_unit_interval(tmp_path, capsys):
+    """A bad --tolerance exits 2 before any benchmark runs."""
+    base = tmp_path / "base.json"
+    _report_with(100.0).save(base)
+    out = tmp_path / "never.json"
+    code = main(["bench", "--workloads", "move_chain", "--schemes", "baseline",
+                 *TINY_CLI, "--out", str(out), "--baseline", str(base),
+                 "--tolerance", "1.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err and "1.5" in err
+    assert "bench:" not in err and not out.exists()     # nothing ran
+    assert main(["bench", "--check", str(base), "--baseline", str(base),
+                 "--tolerance", "-0.1"]) == 2
+    assert "-0.1" in capsys.readouterr().err
 
 
 def test_cli_bench_check_requires_baseline(capsys):

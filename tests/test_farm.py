@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cache import TraceCache, plan_cache_key
+from repro.experiments.cache import TraceCache, plan_cache_key, warm_plans
 from repro.experiments.cli import main as cli_main
 from repro.experiments.grid import SweepSpec, scheme_config
 from repro.experiments.report import build_report
@@ -114,10 +114,10 @@ def test_warm_plans_counts_generated_and_reused(tmp_path):
     simulator = SampledSimulator(CoreConfig(), SAMPLING)
     keys = [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1),
             ("move_chain", 2_000, 1)]
-    plans = cache.warm_plans(keys, simulator)
+    plans = warm_plans(keys, simulator, cache)
     assert list(plans) == [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1)]
     assert (cache.stats.generated, cache.stats.hits) == (2, 0)
-    assert cache.warm_plans(keys, simulator) == plans
+    assert warm_plans(keys, simulator, cache) == plans
     assert (cache.stats.generated, cache.stats.hits) == (2, 2)
 
 
@@ -246,10 +246,12 @@ def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
         sample_window=300,
         sample_warmup=200,
     )
-    report = run_sweep(spec, workers=1, cache_dir=str(tmp_path))
-    assert len(report.failures) == 2  # baseline + variant, sweep still reports
-    assert all("no room for a measured window" in failure["error"]
-               for failure in report.failures)
+    # The cached and the cache-less run plan through the same loop.
+    for cache_dir in (str(tmp_path), None):
+        report = run_sweep(spec, workers=1, cache_dir=cache_dir)
+        assert len(report.failures) == 2, cache_dir  # baseline + variant
+        assert all("no room for a measured window" in failure["error"]
+                   for failure in report.failures), cache_dir
 
 
 def test_cli_sweep_farm_reports_plan_cache(tmp_path, capsys):
