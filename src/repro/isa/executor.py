@@ -344,45 +344,57 @@ def _unary(handler):
     return wrapped
 
 
-#: Raw value semantics of the two-source / immediate / one-source ALU
-#: micro-ops.  These plain ``int -> int`` lambdas are the single source of
-#: truth shared by the executor's handler table below and by the
-#: fast-forward compiler in :mod:`repro.isa.functional` -- the two execution
-#: backends can therefore never compute different results.
-RAW_BINARY_OPS = {
-    Opcode.IADD: lambda a, b: a + b,
-    Opcode.ISUB: lambda a, b: a - b,
-    Opcode.IAND: lambda a, b: a & b,
-    Opcode.IOR: lambda a, b: a | b,
-    Opcode.IXOR: lambda a, b: a ^ b,
-    Opcode.ISHL: lambda a, b: a << (b & 63),
-    Opcode.ISHR: lambda a, b: a >> (b & 63),
-    Opcode.ICMPEQ: lambda a, b: 1 if a == b else 0,
-    Opcode.ICMPLT: lambda a, b: 1 if a < b else 0,
-    Opcode.IMUL: lambda a, b: a * b,
-    Opcode.IDIV: lambda a, b: a // b if b else 0,
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: (a * b) ^ ((a * b) >> 17),
-    Opcode.FDIV: lambda a, b: (a // b if b else 0) ^ 0x5A5A5A5A,
+#: Value semantics of the two-source / immediate / one-source ALU
+#: micro-ops, written once as Python expressions over the first source
+#: ``{a}`` and the second source ``{b}`` or the immediate ``{imm}``; the
+#: result is then masked to 64 bits.  These tables are the single source of
+#: truth of both execution backends: the handler table below evaluates each
+#: expression as a lambda, and the fast-forward block compiler in
+#: :mod:`repro.isa.functional` fills the operands of each static
+#: instruction in, so the two backends can never compute different results.
+BINARY_EXPRESSIONS = {
+    Opcode.IADD: "{a} + {b}",
+    Opcode.ISUB: "{a} - {b}",
+    Opcode.IAND: "{a} & {b}",
+    Opcode.IOR: "{a} | {b}",
+    Opcode.IXOR: "{a} ^ {b}",
+    Opcode.ISHL: "{a} << ({b} & 63)",
+    Opcode.ISHR: "{a} >> ({b} & 63)",
+    Opcode.ICMPEQ: "1 if {a} == {b} else 0",
+    Opcode.ICMPLT: "1 if {a} < {b} else 0",
+    Opcode.IMUL: "{a} * {b}",
+    Opcode.IDIV: "{a} // {b} if {b} else 0",
+    Opcode.FADD: "{a} + {b}",
+    Opcode.FSUB: "{a} - {b}",
+    Opcode.FMUL: "({a} * {b}) ^ (({a} * {b}) >> 17)",
+    Opcode.FDIV: "({a} // {b} if {b} else 0) ^ 0x5A5A5A5A",
 }
 
-RAW_IMMEDIATE_OPS = {
-    Opcode.IADDI: lambda a, imm: a + imm,
-    Opcode.IANDI: lambda a, imm: a & imm,
-    Opcode.ISHLI: lambda a, imm: a << (imm & 63),
-    Opcode.ISHRI: lambda a, imm: a >> (imm & 63),
+IMMEDIATE_EXPRESSIONS = {
+    Opcode.IADDI: "{a} + {imm}",
+    Opcode.IANDI: "{a} & {imm}",
+    Opcode.ISHLI: "{a} << ({imm} & 63)",
+    Opcode.ISHRI: "{a} >> ({imm} & 63)",
 }
 
-RAW_UNARY_OPS = {
-    Opcode.I2F: lambda a: a,
-    Opcode.F2I: lambda a: a,
+UNARY_EXPRESSIONS = {
+    Opcode.I2F: "{a}",
+    Opcode.F2I: "{a}",
 }
+
+
+def _evaluate(params: str, expression: str):
+    """The lambda over ``params`` that computes an ALU expression."""
+    return eval(f"lambda {params}: {expression.format(a='a', b='b', imm='imm')}")
+
 
 _ALU_HANDLERS = {
-    **{opcode: _binary(handler) for opcode, handler in RAW_BINARY_OPS.items()},
-    **{opcode: _immediate(handler) for opcode, handler in RAW_IMMEDIATE_OPS.items()},
-    **{opcode: _unary(handler) for opcode, handler in RAW_UNARY_OPS.items()},
+    **{opcode: _binary(_evaluate("a, b", expression))
+       for opcode, expression in BINARY_EXPRESSIONS.items()},
+    **{opcode: _immediate(_evaluate("a, imm", expression))
+       for opcode, expression in IMMEDIATE_EXPRESSIONS.items()},
+    **{opcode: _unary(_evaluate("a", expression))
+       for opcode, expression in UNARY_EXPRESSIONS.items()},
 }
 
 

@@ -5,20 +5,28 @@ memory, control flow -- with no pipeline model and, crucially, without
 materialising :class:`~repro.isa.executor.DynamicOp` objects.  It is the
 fast half of the SMARTS-style sampled simulation driver
 (:mod:`repro.pipeline.sampling`): long stretches of a workload are
-fast-forwarded here at hundreds of thousands to millions of micro-ops per
-second, and only the periodic detailed windows are *recorded* into a trace
-that the cycle-level core replays.
+fast-forwarded here at millions of micro-ops per second, and only the
+periodic detailed windows are *recorded* into a trace that the cycle-level
+core replays.
 
 Two execution paths share one set of semantics:
 
-* :meth:`fast_forward` runs per-static-instruction *compiled closures*.
-  Each closure is built once, on first visit, from the decoded-field cache
-  (:func:`repro.isa.executor._precompute_static`, introduced for the trace
-  generator's hot path) and captures concrete register-file slots, memory
-  accessors and branch target indices.  The ALU value semantics come from
-  the raw lambda tables exported by :mod:`repro.isa.executor`
-  (``RAW_BINARY_OPS`` et al.), so the compiled path can never diverge from
-  the handler path.
+* :meth:`fast_forward` runs compiled *basic blocks*, the way a binary
+  translator runs translation blocks.  A block starts at a static leader
+  (index 0, every branch, jump and call target, every instruction after a
+  control transfer) and ends at its first control transfer or at the next
+  leader.  On its first visit, one generator emits the Python source of
+  the whole block -- register-file slots, immediates, memory offsets,
+  program counters and branch target indices are integer literals; the
+  register files, memory accessors, call stack and warming hooks are bound
+  names -- and the block is compiled into one function that applies every
+  instruction in turn and returns the next static index.  ``fast_forward``
+  therefore makes one call and one counter update per block.  A count that
+  ends inside a block, or an entry at a non-leader (where :meth:`record`
+  stopped), runs one-instruction blocks from the same generator until the
+  next leader.  The ALU expressions come from the tables exported by
+  :mod:`repro.isa.executor` (``BINARY_EXPRESSIONS`` et al.), which the
+  handler path evaluates too, so the two paths can never diverge.
 * :meth:`record` runs the handler loop of :meth:`Executor.run` from the
   current architectural state, producing a window
   :class:`~repro.isa.executor.Trace` whose micro-ops are field-identical
@@ -29,11 +37,11 @@ Two execution paths share one set of semantics:
 from __future__ import annotations
 
 from repro.isa.executor import (
+    BINARY_EXPRESSIONS,
+    IMMEDIATE_EXPRESSIONS,
+    UNARY_EXPRESSIONS,
     ExecutionLimitExceeded,
     Executor,
-    RAW_BINARY_OPS,
-    RAW_IMMEDIATE_OPS,
-    RAW_UNARY_OPS,
     Trace,
 )
 from repro.isa.opcodes import Opcode
@@ -41,6 +49,14 @@ from repro.isa.program import Program
 from repro.isa.registers import ArchReg, RegClass
 
 _MASK64 = (1 << 64) - 1
+
+#: Opcodes that end a basic block: every instruction after one is a leader.
+_TRANSFERS = frozenset({Opcode.BNZ, Opcode.BZ, Opcode.JMP, Opcode.CALL, Opcode.RET})
+
+#: The ``fast_forward`` table entry of an index with no compiled block yet
+#: (a leader on its first visit, a non-leader, ``HALT`` or the end of the
+#: program): it is larger than any count, so the loop takes its slow path.
+_UNCOMPILED = (float("inf"), None)
 
 
 class FunctionalCore(Executor):
@@ -58,13 +74,13 @@ class FunctionalCore(Executor):
                  warmer=None) -> None:
         """``warmer`` optionally observes the fast-forwarded stream.
 
-        When given, the compiled closures additionally call the warmer's
+        When given, the compiled blocks additionally call the warmer's
         ``load(pc, addr)`` / ``store(pc, addr)`` / ``cond(pc, taken,
         target_pc)`` / ``jump(pc, target_pc)`` / ``call(pc, target_pc)`` /
-        ``ret(pc)`` hooks, which the sampled simulation driver uses for
-        SMARTS-style functional warming of caches, BTB, RAS and the branch
-        history registers during the gaps between detailed windows.
-        Warming never changes architectural results, only micro-
+        ``ret(pc)`` hooks, in program order, which the sampled simulation
+        driver uses for SMARTS-style functional warming of caches, BTB, RAS
+        and the branch history registers during the gaps between detailed
+        windows.  Warming never changes architectural results, only micro-
         architectural training state.
         """
         super().__init__(program, initial_regs=initial_regs,
@@ -72,8 +88,25 @@ class FunctionalCore(Executor):
         self.retired = 0
         self.halted = False
         self._warmer = warmer
-        # Compiled fast-forward steps, built lazily per static instruction.
-        self._compiled: list = [None] * len(program.instructions)
+        limit = len(program.instructions)
+        # leaders[i]: a block starts at i.  HALT and the end of the program
+        # count as leaders too, so a block never runs into either.
+        leaders = [False] * (limit + 1)
+        leaders[0] = leaders[limit] = True
+        for index, instruction in enumerate(program.instructions):
+            if instruction.target is not None:
+                leaders[program.target_index(instruction.target)] = True
+            if instruction.opcode in _TRANSFERS:
+                leaders[index + 1] = True
+            elif instruction.opcode is Opcode.HALT:
+                leaders[index] = True
+        self._leaders = leaders
+        # (size, function) of the compiled block starting at each index.
+        self._blocks = [_UNCOMPILED] * (limit + 1)
+        # One-instruction blocks, compiled on demand for counts that end
+        # inside a block and for entries at non-leaders.
+        self._singles = [None] * limit
+        self._bindings = self._block_bindings()
 
     # -- construction ------------------------------------------------------------
 
@@ -88,38 +121,68 @@ class FunctionalCore(Executor):
     def fast_forward(self, count: int) -> int:
         """Retire up to ``count`` micro-ops architecturally; returns the number retired.
 
-        Stops early at ``HALT``.  Falling off the end of the program raises
-        :class:`ExecutionLimitExceeded`, exactly like :meth:`Executor.run`.
+        Stops early at ``HALT``.  Falling off the end of the program, or a
+        ``RET`` with no matching call, raises
+        :class:`ExecutionLimitExceeded`, exactly like :meth:`Executor.run`;
+        the position and :attr:`retired` then still account for every
+        instruction that ran before it.
         """
         if count <= 0 or self.halted:
             return 0
-        compiled = self._compiled
-        statics = self._statics
-        limit = len(statics)
+        blocks = self._blocks
         index = self._index
-        retired = 0
-        compile_step = self._compile_step
-        while retired < count:
-            if index >= limit:
-                # Keep the position and retire counters consistent with the
-                # architectural state already mutated by this call.
-                self._index = index
-                self.retired += retired
-                raise ExecutionLimitExceeded(
-                    f"program {self.program.name!r} ran past its last instruction; "
-                    "add an explicit halt() or loop")
-            step = compiled[index]
-            if step is None:
-                if statics[index] is None:  # HALT
-                    self.halted = True
-                    break
-                step = compile_step(index)
-                compiled[index] = step
-            index = step()
-            retired += 1
-        self._index = index
-        self.retired += retired
-        return retired
+        left = count
+        try:
+            while left:
+                size, block = blocks[index]
+                if size > left:
+                    size, block = self._entry(index, left)
+                    if block is None:  # HALT
+                        self.halted = True
+                        break
+                index = block()
+                left -= size
+        except ExecutionLimitExceeded:
+            if block is not None:
+                # A block raised, not ``_entry`` at the end of the program.
+                # Only a block's closing RET raises, so the rest of it ran.
+                index += size - 1
+                left -= size - 1
+            raise
+        finally:
+            self._index = index
+            self.retired += count - left
+        return count - left
+
+    def _entry(self, index: int, left: int) -> tuple[int, object]:
+        """The block to run at ``index`` when the fast path has none that fits.
+
+        Compiles the block of a leader on its first visit; runs a
+        one-instruction block at a non-leader or when fewer than the
+        block's instructions are ``left``; returns ``(0, None)`` at
+        ``HALT``; raises at the end of the program.
+        """
+        statics = self._statics
+        if index == len(statics):
+            raise ExecutionLimitExceeded(
+                f"program {self.program.name!r} ran past its last instruction; "
+                "add an explicit halt() or loop")
+        if statics[index] is None:
+            return 0, None
+        if self._leaders[index]:
+            entry = self._blocks[index]
+            if entry is _UNCOMPILED:
+                stop = index + 1
+                while not self._leaders[stop]:
+                    stop += 1
+                entry = (stop - index, self._compile(index, stop))
+                self._blocks[index] = entry
+            if entry[0] <= left:
+                return entry
+        single = self._singles[index]
+        if single is None:
+            single = self._singles[index] = self._compile(index, index + 1)
+        return 1, single
 
     # -- windowed recording ------------------------------------------------------
 
@@ -141,295 +204,152 @@ class FunctionalCore(Executor):
             self.retired += len(trace)
         return trace
 
-    # -- the fast-forward compiler -------------------------------------------------
+    # -- the block compiler ------------------------------------------------------
 
-    def _reg_slot(self, reg: ArchReg) -> tuple[list[int], int]:
-        """The (register file list, index) pair a closure reads or writes."""
-        if reg.reg_class is RegClass.INT:
-            return self._int_regs, reg.index
-        return self._fp_regs, reg.index
+    def _block_bindings(self) -> dict:
+        """The names every generated block reads its objects through."""
+        stack = self._call_stack
+        name = self.program.name
 
-    def _compile_address(self, instruction):
-        """Compile the effective-address computation of a memory micro-op."""
-        mem = instruction.mem
-        offset = mem.offset
-        scale = mem.scale
-        if mem.base is not None and mem.index is not None:
-            rb, ib = self._reg_slot(mem.base)
-            ri, ii = self._reg_slot(mem.index)
-            return lambda: (offset + rb[ib] + ri[ii] * scale) & _MASK64
-        if mem.base is not None:
-            rb, ib = self._reg_slot(mem.base)
-            return lambda: (offset + rb[ib]) & _MASK64
-        if mem.index is not None:
-            ri, ii = self._reg_slot(mem.index)
-            return lambda: (offset + ri[ii] * scale) & _MASK64
-        return lambda: offset & _MASK64
+        def unmatched_return():
+            raise ExecutionLimitExceeded(
+                f"return without a matching call in program {name!r}")
 
-    def _compile_step(self, index: int):
-        """Build the compiled fast-forward closure for one static instruction.
+        bindings = {
+            "ir": self._int_regs, "fr": self._fp_regs,
+            "get": self._memory.get, "mem": self._memory,
+            "stack": stack, "push": stack.append, "pop": stack.pop,
+            "unmatched_return": unmatched_return,
+        }
+        warmer = self._warmer
+        if warmer is not None:
+            bindings.update(
+                warm_load=warmer.load, warm_store=warmer.store,
+                warm_cond=warmer.cond, warm_jump=warmer.jump,
+                warm_call=warmer.call, warm_ret=warmer.ret)
+        return bindings
 
-        Every closure applies the instruction's full architectural effect
-        and returns the next static index.  The value semantics are the raw
-        lambdas shared with the handler table, so ``fast_forward`` and
-        ``record`` can never disagree.
+    def _compile(self, start: int, stop: int):
+        """Compile the instructions ``[start, stop)`` into one block function.
+
+        The block's globals are this core's bindings, so every object it
+        touches is one dictionary away and nothing but integers and the
+        shared ALU expressions is ever formatted into its source.
         """
-        instruction = self.program.instructions[index]
-        opcode = instruction.opcode
-        nxt = index + 1
+        source = "def block():\n    " + "\n    ".join(self._block_source(start, stop))
+        namespace = self._bindings
+        exec(compile(source, "<fast-forward block>", "exec"), namespace)
+        return namespace.pop("block")
 
-        fn = RAW_BINARY_OPS.get(opcode)
-        if fn is not None:
-            rd, di = self._reg_slot(instruction.dest)
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            rb, bi = self._reg_slot(instruction.srcs[1])
+    def _block_source(self, start: int, stop: int):
+        """Yield the Python source lines of the block ``[start, stop)``.
 
-            def step_binary():
-                rd[di] = fn(ra[ai], rb[bi]) & _MASK64
-                return nxt
-            return step_binary
+        The lines apply each instruction's full architectural effect in
+        program order, call the warmer's hooks (when a warmer is attached)
+        with the arguments :meth:`~repro.pipeline.sampling._GapWarmer.train_trace`
+        passes for the same micro-ops, and end by returning the next
+        static index.
+        """
+        program = self.program
+        warmed = self._warmer is not None
+        for index in range(start, stop):
+            instruction = program.instructions[index]
+            opcode = instruction.opcode
+            pc = program.pc_of(index)
+            nxt = index + 1
+            dest = _slot(instruction.dest) if instruction.dest is not None else None
+            srcs = [_slot(reg) for reg in instruction.srcs]
 
-        fn = RAW_IMMEDIATE_OPS.get(opcode)
-        if fn is not None:
-            rd, di = self._reg_slot(instruction.dest)
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            imm = instruction.imm
+            if opcode in BINARY_EXPRESSIONS:
+                value = BINARY_EXPRESSIONS[opcode].format(a=srcs[0], b=srcs[1])
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode in IMMEDIATE_EXPRESSIONS:
+                imm = instruction.imm
+                value = IMMEDIATE_EXPRESSIONS[opcode].format(
+                    a=srcs[0], imm=imm if imm >= 0 else f"({imm})")
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode in UNARY_EXPRESSIONS:
+                value = UNARY_EXPRESSIONS[opcode].format(a=srcs[0])
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode is Opcode.MOVI:
+                yield f"{dest} = {instruction.imm & _MASK64}"
+            elif opcode is Opcode.FMOV or (opcode is Opcode.MOV and instruction.width == 64):
+                yield f"{dest} = {srcs[0]}"
+            elif opcode is Opcode.MOV and instruction.width == 32:
+                # x86_64 zeroes the upper 32 bits on a 32-bit register move.
+                yield f"{dest} = {srcs[0]} & 0xFFFFFFFF"
+            elif opcode is Opcode.MOV:
+                # 16- and 8-bit moves merge into the low bits of the destination.
+                mask = 0xFFFF if instruction.width == 16 else 0xFF
+                yield f"{dest} = ({dest} & {~mask & _MASK64}) | ({srcs[0]} & {mask})"
+            elif opcode is Opcode.MOVZX8 and instruction.src_high8:
+                yield f"{dest} = ({srcs[0]} >> 8) & 0xFF"
+            elif opcode is Opcode.MOVZX8:
+                yield f"{dest} = {srcs[0]} & 0xFF"
+            elif opcode in (Opcode.LOAD, Opcode.FLOAD):
+                yield f"a = {_address(instruction)}"
+                if warmed:
+                    yield f"warm_load({pc}, a)"
+                # Little endian; bytes never written read as zero.
+                yield f"{dest} = get(a, 0) | " + " | ".join(
+                    f"get(a + {offset}, 0) << {8 * offset}"
+                    for offset in range(1, instruction.mem.size))
+            elif opcode in (Opcode.STORE, Opcode.FSTORE):
+                yield f"a = {_address(instruction)}"
+                if warmed:
+                    yield f"warm_store({pc}, a)"
+                yield f"v = {srcs[0]}"
+                yield "mem[a] = v & 0xFF"
+                for offset in range(1, instruction.mem.size):
+                    yield f"mem[a + {offset}] = (v >> {8 * offset}) & 0xFF"
+            elif opcode in (Opcode.BNZ, Opcode.BZ):
+                target = program.target_index(instruction.target)
+                compare = "!=" if opcode is Opcode.BNZ else "=="
+                if warmed:
+                    yield f"taken = {srcs[0]} {compare} 0"
+                    yield f"warm_cond({pc}, taken, {program.pc_of(target)})"
+                    yield f"return {target} if taken else {nxt}"
+                else:
+                    yield f"return {target} if {srcs[0]} {compare} 0 else {nxt}"
+                return
+            elif opcode is Opcode.JMP:
+                target = program.target_index(instruction.target)
+                if warmed:
+                    yield f"warm_jump({pc}, {program.pc_of(target)})"
+                yield f"return {target}"
+                return
+            elif opcode is Opcode.CALL:
+                target = program.target_index(instruction.target)
+                if warmed:
+                    yield f"warm_call({pc}, {program.pc_of(target)})"
+                yield f"push({nxt})"
+                yield f"return {target}"
+                return
+            elif opcode is Opcode.RET:
+                yield "if not stack:"
+                yield "    unmatched_return()"
+                if warmed:
+                    yield f"warm_ret({pc})"
+                yield "return pop()"
+                return
+            elif opcode is not Opcode.NOP:
+                raise ValueError(f"no fast-forward compiler for opcode {opcode!r}")
+        yield f"return {stop}"
 
-            def step_immediate():
-                rd[di] = fn(ra[ai], imm) & _MASK64
-                return nxt
-            return step_immediate
 
-        fn = RAW_UNARY_OPS.get(opcode)
-        if fn is not None:
-            rd, di = self._reg_slot(instruction.dest)
-            ra, ai = self._reg_slot(instruction.srcs[0])
+def _slot(reg: ArchReg) -> str:
+    """Source text of the register-file slot holding ``reg``."""
+    name = "ir" if reg.reg_class is RegClass.INT else "fr"
+    return f"{name}[{reg.index}]"
 
-            def step_unary():
-                rd[di] = fn(ra[ai]) & _MASK64
-                return nxt
-            return step_unary
 
-        if opcode is Opcode.MOVI:
-            rd, di = self._reg_slot(instruction.dest)
-            value = instruction.imm & _MASK64
-
-            def step_movi():
-                rd[di] = value
-                return nxt
-            return step_movi
-
-        if opcode in (Opcode.MOV, Opcode.FMOV):
-            rd, di = self._reg_slot(instruction.dest)
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            width = instruction.width
-            if opcode is Opcode.FMOV or width == 64:
-                def step_mov64():
-                    rd[di] = ra[ai]
-                    return nxt
-                return step_mov64
-            if width == 32:
-                def step_mov32():
-                    rd[di] = ra[ai] & 0xFFFFFFFF
-                    return nxt
-                return step_mov32
-            mask = 0xFFFF if width == 16 else 0xFF
-
-            def step_mov_merge():
-                rd[di] = (rd[di] & ~mask) & _MASK64 | (ra[ai] & mask)
-                return nxt
-            return step_mov_merge
-
-        if opcode is Opcode.MOVZX8:
-            rd, di = self._reg_slot(instruction.dest)
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            if instruction.src_high8:
-                def step_movzx_high():
-                    rd[di] = (ra[ai] >> 8) & 0xFF
-                    return nxt
-                return step_movzx_high
-
-            def step_movzx_low():
-                rd[di] = ra[ai] & 0xFF
-                return nxt
-            return step_movzx_low
-
-        if opcode in (Opcode.LOAD, Opcode.FLOAD):
-            rd, di = self._reg_slot(instruction.dest)
-            address = self._compile_address(instruction)
-            size = instruction.mem.size
-            get = self._memory.get
-            if size == 8:
-                def step_load():
-                    a = address()
-                    rd[di] = (get(a, 0) | get(a + 1, 0) << 8 | get(a + 2, 0) << 16
-                              | get(a + 3, 0) << 24 | get(a + 4, 0) << 32
-                              | get(a + 5, 0) << 40 | get(a + 6, 0) << 48
-                              | get(a + 7, 0) << 56)
-                    return nxt
-            else:
-                def step_load():
-                    a = address()
-                    rd[di] = (get(a, 0) | get(a + 1, 0) << 8 | get(a + 2, 0) << 16
-                              | get(a + 3, 0) << 24)
-                    return nxt
-            if self._warmer is None:
-                return step_load
-            # Warmed variant: one address computation feeds both the warm
-            # hook and the (re-inlined) load body.
-            warm_load = self._warmer.load
-            pc = self.program.pc_of(index)
-            if size == 8:
-                def step_load_warmed():
-                    a = address()
-                    warm_load(pc, a)
-                    rd[di] = (get(a, 0) | get(a + 1, 0) << 8 | get(a + 2, 0) << 16
-                              | get(a + 3, 0) << 24 | get(a + 4, 0) << 32
-                              | get(a + 5, 0) << 40 | get(a + 6, 0) << 48
-                              | get(a + 7, 0) << 56)
-                    return nxt
-            else:
-                def step_load_warmed():
-                    a = address()
-                    warm_load(pc, a)
-                    rd[di] = (get(a, 0) | get(a + 1, 0) << 8 | get(a + 2, 0) << 16
-                              | get(a + 3, 0) << 24)
-                    return nxt
-            return step_load_warmed
-
-        if opcode in (Opcode.STORE, Opcode.FSTORE):
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            address = self._compile_address(instruction)
-            size = instruction.mem.size
-            memory = self._memory
-            if size == 8:
-                def step_store():
-                    a = address()
-                    v = ra[ai]
-                    memory[a] = v & 0xFF
-                    memory[a + 1] = (v >> 8) & 0xFF
-                    memory[a + 2] = (v >> 16) & 0xFF
-                    memory[a + 3] = (v >> 24) & 0xFF
-                    memory[a + 4] = (v >> 32) & 0xFF
-                    memory[a + 5] = (v >> 40) & 0xFF
-                    memory[a + 6] = (v >> 48) & 0xFF
-                    memory[a + 7] = (v >> 56) & 0xFF
-                    return nxt
-            else:
-                def step_store():
-                    a = address()
-                    v = ra[ai] & 0xFFFFFFFF
-                    memory[a] = v & 0xFF
-                    memory[a + 1] = (v >> 8) & 0xFF
-                    memory[a + 2] = (v >> 16) & 0xFF
-                    memory[a + 3] = (v >> 24) & 0xFF
-                    return nxt
-            if self._warmer is None:
-                return step_store
-            warm_store = self._warmer.store
-            pc = self.program.pc_of(index)
-            if size == 8:
-                def step_store_warmed():
-                    a = address()
-                    warm_store(pc, a)
-                    v = ra[ai]
-                    memory[a] = v & 0xFF
-                    memory[a + 1] = (v >> 8) & 0xFF
-                    memory[a + 2] = (v >> 16) & 0xFF
-                    memory[a + 3] = (v >> 24) & 0xFF
-                    memory[a + 4] = (v >> 32) & 0xFF
-                    memory[a + 5] = (v >> 40) & 0xFF
-                    memory[a + 6] = (v >> 48) & 0xFF
-                    memory[a + 7] = (v >> 56) & 0xFF
-                    return nxt
-            else:
-                def step_store_warmed():
-                    a = address()
-                    warm_store(pc, a)
-                    v = ra[ai] & 0xFFFFFFFF
-                    memory[a] = v & 0xFF
-                    memory[a + 1] = (v >> 8) & 0xFF
-                    memory[a + 2] = (v >> 16) & 0xFF
-                    memory[a + 3] = (v >> 24) & 0xFF
-                    return nxt
-            return step_store_warmed
-
-        if opcode in (Opcode.BNZ, Opcode.BZ):
-            ra, ai = self._reg_slot(instruction.srcs[0])
-            target = self.program.target_index(instruction.target)
-            want_nonzero = opcode is Opcode.BNZ
-            if self._warmer is None:
-                if want_nonzero:
-                    def step_bnz():
-                        return target if ra[ai] != 0 else nxt
-                    return step_bnz
-
-                def step_bz():
-                    return target if ra[ai] == 0 else nxt
-                return step_bz
-            warm_cond = self._warmer.cond
-            pc = self.program.pc_of(index)
-            target_pc = self.program.pc_of(target)
-
-            def step_cond_warmed():
-                taken = (ra[ai] != 0) == want_nonzero
-                warm_cond(pc, taken, target_pc)
-                return target if taken else nxt
-            return step_cond_warmed
-
-        if opcode is Opcode.JMP:
-            target = self.program.target_index(instruction.target)
-            if self._warmer is None:
-                return lambda: target
-            warm_jump = self._warmer.jump
-            pc = self.program.pc_of(index)
-            target_pc = self.program.pc_of(target)
-
-            def step_jmp_warmed():
-                warm_jump(pc, target_pc)
-                return target
-            return step_jmp_warmed
-
-        if opcode is Opcode.CALL:
-            target = self.program.target_index(instruction.target)
-            stack = self._call_stack
-            if self._warmer is None:
-                def step_call():
-                    stack.append(nxt)
-                    return target
-                return step_call
-            warm_call = self._warmer.call
-            pc = self.program.pc_of(index)
-            target_pc = self.program.pc_of(target)
-
-            def step_call_warmed():
-                warm_call(pc, target_pc)
-                stack.append(nxt)
-                return target
-            return step_call_warmed
-
-        if opcode is Opcode.RET:
-            stack = self._call_stack
-            name = self.program.name
-            if self._warmer is None:
-                def step_ret():
-                    if not stack:
-                        raise ExecutionLimitExceeded(
-                            f"return without a matching call in program {name!r}")
-                    return stack.pop()
-                return step_ret
-            warm_ret = self._warmer.ret
-            pc = self.program.pc_of(index)
-
-            def step_ret_warmed():
-                if not stack:
-                    raise ExecutionLimitExceeded(
-                        f"return without a matching call in program {name!r}")
-                warm_ret(pc)
-                return stack.pop()
-            return step_ret_warmed
-
-        if opcode is Opcode.NOP:
-            return lambda: nxt
-
-        raise ValueError(f"no fast-forward compiler for opcode {opcode!r}")
+def _address(instruction) -> str:
+    """Source text of a memory micro-op's effective address."""
+    mem = instruction.mem
+    terms = [str(mem.offset)] if mem.offset else []
+    if mem.base is not None:
+        terms.append(_slot(mem.base))
+    if mem.index is not None:
+        terms.append(_slot(mem.index) if mem.scale == 1
+                     else f"{_slot(mem.index)} * {mem.scale}")
+    return f"({' + '.join(terms) or '0'}) & {_MASK64}"

@@ -86,18 +86,46 @@ class MemoryHierarchy:
 
     # -- functional warming (two-speed simulation) ----------------------------------
 
-    def warm_data(self, address: int, is_write: bool, pc: int) -> None:
-        """Timing-free data access: update tags, LRU, dirty bits and training only.
+    def warm_load(self, pc: int, address: int) -> None:
+        """Timing-free load: update tags, LRU and prefetcher/DRAM training only.
 
-        The sampled-simulation fast-forward path calls this for every
-        skipped load and store so that detailed windows open with cache,
+        The sampled-simulation fast-forward path calls this and
+        :meth:`warm_store` straight from its compiled blocks for every
+        skipped load and store, so that detailed windows open with cache,
         prefetcher and DRAM row state consistent with the instruction
         stream, instead of a stale image frozen at the previous window's
         end.  No latencies are computed and no MSHR occupancy is modelled.
+        An L1D hit, the common case, refreshes the line's LRU position in
+        its cache set here, with no further call.
         """
-        line = self.l1d.line_address(address)
-        if self.l1d.lookup(line, is_write=is_write):
+        l1d = self.l1d
+        line = address // l1d._line_bytes
+        # The set list is read on every access: restore_snapshot replaces it.
+        cache_set = l1d._sets[line % l1d._num_sets]
+        tag = line // l1d._num_sets
+        if tag in cache_set:
+            cache_set[tag] = cache_set.pop(tag)
+            l1d.hits += 1
             return
+        l1d.misses += 1
+        self._warm_miss(pc, line * l1d._line_bytes, False)
+
+    def warm_store(self, pc: int, address: int) -> None:
+        """:meth:`warm_load` for a store, which also leaves the line dirty."""
+        l1d = self.l1d
+        line = address // l1d._line_bytes
+        cache_set = l1d._sets[line % l1d._num_sets]
+        tag = line // l1d._num_sets
+        if tag in cache_set:
+            del cache_set[tag]
+            cache_set[tag] = True
+            l1d.hits += 1
+            return
+        l1d.misses += 1
+        self._warm_miss(pc, line * l1d._line_bytes, True)
+
+    def _warm_miss(self, pc: int, line: int, is_write: bool) -> None:
+        """The rest of a timing-free access whose line missed in the L1D."""
         prefetches = self.prefetcher.train(pc, line)
         if not self.l2.lookup(line, is_write=is_write):
             self.dram.warm(line)

@@ -350,6 +350,10 @@ class _GapWarmer:
 
     def __init__(self, config: CoreConfig) -> None:
         self.memory = MemoryHierarchy(config.memory)
+        # The load and store hooks are the hierarchy's own timing-free
+        # accesses, so a warmed access costs the fast-forward one call.
+        self.load = self.memory.warm_load
+        self.store = self.memory.warm_store
         self.btb = BranchTargetBuffer(config.btb_entries, config.btb_ways)
         self.ras = ReturnAddressStack(config.ras_depth)
         self.history = ShiftHistory(max_bits=256)
@@ -393,13 +397,7 @@ class _GapWarmer:
                 elif op.opcode is Opcode.RET:
                     self.ret(op.pc)
 
-    # -- FunctionalCore warming hooks ---------------------------------------------
-
-    def load(self, pc: int, address: int) -> None:
-        self.memory.warm_data(address, False, pc)
-
-    def store(self, pc: int, address: int) -> None:
-        self.memory.warm_data(address, True, pc)
+    # -- FunctionalCore warming hooks (load and store: see __init__) ----------------
 
     def cond(self, pc: int, taken: bool, target_pc: int) -> None:
         self.history.push(taken)

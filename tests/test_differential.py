@@ -135,8 +135,8 @@ def test_functional_state_matches_golden(workload, golden_digests):
 def test_functional_core_matches_golden(workload, golden_digests):
     """The compiled fast-forward core retires the exact Executor semantics.
 
-    ``FunctionalCore.fast_forward`` runs per-opcode compiled closures
-    instead of the handler table; its final architectural state must match
+    ``FunctionalCore.fast_forward`` runs compiled basic blocks instead of
+    the handler table; its final architectural state must match
     the committed golden digest bit for bit, also when the run is split
     into two calls.
     """

@@ -227,7 +227,7 @@ def test_hierarchy_warm_data_trains_state_without_latency():
     hierarchy = MemoryHierarchy()
     pc = 0x600
     for address in (0, 64, 128, 192):
-        hierarchy.warm_data(address, False, pc)
+        hierarchy.warm_load(pc, address)
     # Warming installed the lines and ran the prefetcher exactly like the
     # timed path would have...
     assert hierarchy.l1d.probe(0) and hierarchy.l2.probe(256)

@@ -20,11 +20,12 @@ import pytest
 from repro.experiments.cli import main as cli_main
 from repro.isa.executor import ExecutionLimitExceeded, Executor
 from repro.isa.functional import FunctionalCore
+from repro.isa.opcodes import Opcode
 from repro.isa.program import ProgramBuilder
-from repro.isa.registers import int_reg
+from repro.isa.registers import fp_reg, int_reg
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
-from repro.pipeline.sampling import SampledSimulator, SamplingConfig
+from repro.pipeline.sampling import SampledSimulator, SamplingConfig, _GapWarmer
 from repro.workloads import build_workload, generate_trace
 
 MAX_OPS = 4_000
@@ -108,6 +109,182 @@ def test_fast_forward_raises_on_fall_off_end():
         # The one instruction retired before the core fell off the end.
         assert core.retired == 1, method
         assert core.read_reg(int_reg(0)) == 1, method
+
+
+@pytest.mark.parametrize("chunks", [(10,), (1, 10), (2, 10)])
+@pytest.mark.parametrize("warm", [False, True])
+def test_fast_forward_keeps_its_position_when_a_return_raises(chunks, warm):
+    builder = ProgramBuilder("stray_ret")
+    r0 = int_reg(0)
+    builder.addi(r0, r0, 1)
+    builder.addi(r0, r0, 1)
+    builder.ret()
+    builder.halt()
+    program = builder.build()
+    warmer = _GapWarmer(CoreConfig()) if warm else None
+    # One block runs both adds before its RET raises; split counts reach
+    # the RET through one-instruction blocks instead.
+    core = FunctionalCore(program, warmer=warmer)
+    with pytest.raises(ExecutionLimitExceeded, match="return without a matching call"):
+        for chunk in chunks:
+            core.fast_forward(chunk)
+    recorded = FunctionalCore(program)
+    with pytest.raises(ExecutionLimitExceeded, match="return without a matching call"):
+        recorded.record(10)
+    for raised in (core, recorded):
+        assert raised.read_reg(r0) == 2
+        assert raised.retired == 2
+        assert raised._index == 2
+
+
+def _every_opcode_program():
+    """One program that executes every opcode the executor implements.
+
+    A loop runs its body four times, so each block is entered again after
+    it was compiled, both conditional branches go both ways, and a branch
+    lands in the middle of straight-line code.
+    """
+    r, f = int_reg, fp_reg
+    b = ProgramBuilder("every_opcode")
+    b.movi(r(0), 0x0123_4567_89AB_CDEF)
+    b.movi(r(1), -3)                              # masked to 2**64 - 3
+    b.movi(r(2), 0)                               # the zero divisor
+    b.movi(r(10), 0x4000)                         # memory base
+    b.movi(r(12), 4)                              # loop counter
+    b.label("loop")
+    b.addi(r(11), r(12), -1)                      # memory index: 3, 2, 1, 0
+    b.add(r(3), r(0), r(1))
+    b.sub(r(4), r(3), r(12))
+    b.and_(r(5), r(4), r(1))
+    b.or_(r(5), r(5), r(12))
+    b.xor(r(6), r(5), r(0))
+    b.shl(r(7), r(6), r(12))
+    b.shr(r(7), r(7), r(11))
+    b.andi(r(8), r(7), 0xFF0)
+    b.shli(r(8), r(8), 3)
+    b.shri(r(9), r(8), 2)
+    b.cmpeq(r(13), r(11), r(2))
+    b.cmplt(r(14), r(9), r(6))
+    b.mul(r(3), r(3), r(6))
+    b.div(r(4), r(3), r(9))
+    b.div(r(4), r(4), r(2))                       # by zero: 0
+    b.mov(r(5), r(1), width=64)
+    b.mov(r(5), r(0), width=32)
+    b.mov(r(6), r(0), width=16)
+    b.mov(r(6), r(1), width=8)
+    b.movzx8(r(7), r(0))
+    b.movzx8(r(8), r(0), src_high8=True)
+    b.store(r(3), base=r(10), index=r(11), scale=8, offset=8, size=8)
+    b.store(r(1), base=r(10), index=r(11), scale=4, offset=-4, size=4)
+    b.load(r(9), base=r(10), index=r(11), scale=8, offset=8, size=8)
+    b.load(r(15), base=r(10), index=r(11), scale=4, offset=-4, size=4)
+    b.i2f(f(0), r(3))
+    b.i2f(f(1), r(12))
+    b.i2f(f(7), r(2))
+    b.fadd(f(2), f(0), f(1))
+    b.fsub(f(3), f(2), f(0))
+    b.fmul(f(4), f(2), f(1))
+    b.fdiv(f(5), f(4), f(1))
+    b.fdiv(f(6), f(4), f(7))                      # by zero
+    b.fmov(f(7), f(5))
+    b.fstore(f(6), base=r(10), index=r(11), scale=8, offset=64, size=8)
+    b.fload(f(8), base=r(10), index=r(11), scale=8, offset=64, size=8)
+    b.f2i(r(13), f(8))
+    b.call("helper")
+    b.andi(r(14), r(12), 1)
+    b.bz(r(14), "middle")                         # taken on even counts
+    b.nop()
+    b.addi(r(0), r(0), 0x1111)
+    b.label("middle")
+    b.xor(r(0), r(0), r(15))
+    b.addi(r(12), r(12), -1)
+    b.bnz(r(12), "loop")
+    b.jmp("done")
+    b.label("helper")
+    b.addi(r(1), r(1), 5)
+    b.ret()
+    b.label("done")
+    b.halt()
+    return b.build()
+
+
+def _every_opcode_schedules():
+    """(name, steps): a step is ``("ff", n)`` or ``("record", n)``."""
+    schedules = [("straight", [("ff", 10_000)])]
+    schedules += [(f"chunks of {n}", [("ff", n)] * 400) for n in (1, 2, 3, 7)]
+    schedules.append(("with record", [("ff", 5), ("record", 3), ("ff", 11),
+                                      ("record", 17), ("ff", 2)] * 40))
+    return schedules
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed"])
+@pytest.mark.parametrize("name, steps", _every_opcode_schedules(),
+                         ids=[name for name, _ in _every_opcode_schedules()])
+def test_fast_forward_runs_every_opcode_like_the_executor(name, steps, warm):
+    program = _every_opcode_program()
+    assert {instruction.opcode for instruction in program} == set(Opcode)
+    reference = Executor(program)
+    expected = len(reference.run(max_ops=10_000))
+    assert expected < 10_000                      # it halted
+    core = FunctionalCore(program,
+                          warmer=_GapWarmer(CoreConfig()) if warm else None)
+    for mode, count in steps:
+        if core.halted:
+            break
+        if mode == "ff":
+            core.fast_forward(count)
+        else:
+            core.record(count)
+        # Every stop, mid-block ones included, matches the executor there.
+        assert core.state_digest() == _program_digest(program, core.retired), \
+            (name, core.retired)
+    assert core.halted
+    assert core.retired == expected
+    assert core.state_digest() == reference.state_digest()
+
+
+def _program_digest(program, max_ops: int) -> str:
+    executor = Executor(program)
+    executor.run(max_ops=max_ops)
+    return executor.state_digest()
+
+
+class _LoggingWarmer(_GapWarmer):
+    """A gap warmer that logs every hook call, with its arguments, before
+    passing it on."""
+
+    def __init__(self, config: CoreConfig) -> None:
+        super().__init__(config)
+        self.log: list[tuple] = []
+        for hook in ("load", "store", "cond", "jump", "call", "ret"):
+            setattr(self, hook, self._logged(hook, getattr(self, hook)))
+
+    def _logged(self, hook, train):
+        def logged(*args):
+            self.log.append((hook, *args))
+            train(*args)
+        return logged
+
+
+@pytest.mark.parametrize("workload", ["long_phase_mix", "long_stride_drift",
+                                      "deep_recursion", "branchy"])
+def test_fast_forward_warms_the_executor_stream(workload):
+    """Fast-forward hooks plus trained windows warm exactly what training
+    over the executor's trace of the same micro-ops warms."""
+    image = build_workload(workload, seed=1)
+    warmer = _LoggingWarmer(CoreConfig())
+    core = FunctionalCore.from_image(image, warmer=warmer)
+    for chunk, window in ((1, 7), (2_345, 300), (3, 1), (7_777, 1_200), (13, 0),
+                          (5_000, 64)):
+        assert core.fast_forward(chunk) == chunk
+        # As the sampled planner does: the handler loop records a window,
+        # and the warmer is trained over it afterwards.
+        warmer.train_trace(core.record(window))
+    reference = _LoggingWarmer(CoreConfig())
+    reference.train_trace(_executor_for(image).run(max_ops=core.retired))
+    assert len(warmer.log) > 1_000
+    assert warmer.log == reference.log
+    assert warmer.capture() == reference.capture()
 
 
 # ---------------------------------------------------------------------------
