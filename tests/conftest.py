@@ -8,6 +8,9 @@ the *same* grids and a golden artifact stays pinned to one definition.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.grid import SweepSpec
@@ -61,3 +64,14 @@ def small_spec() -> SweepSpec:
         max_ops=2_000,
         seed=1,
     )
+
+
+@pytest.fixture(scope="session")
+def golden_regenerate():
+    """``golden/regenerate.py`` as a module (``tests`` is not a package), so
+    tests recompute golden files with the code that writes them."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -131,6 +131,28 @@ def test_functional_state_matches_golden(workload, golden_digests):
     assert _final_digest(workload) == golden_digests[workload]
 
 
+#: Field digests of every suite trace and of the every-opcode run, written
+#: by ``regenerate_trace_digests``.
+TRACE_DIGESTS_PATH = Path(__file__).parent / "golden" / "trace_digests.json"
+
+
+def test_traces_match_golden_field_digests(golden_regenerate):
+    """Every field of every micro-op the executor records is pinned.
+
+    Sharing validation, SMB and the branch predictors all read these
+    fields (``result``, ``mem_addr``, ``store_value``, ``taken``,
+    ``next_pc`` ...), so a semantic change to the ISA engine fails here
+    even where the final architectural state would not move.  The
+    every-opcode program's run to ``HALT`` and its final state are pinned
+    too."""
+    pinned = json.loads(TRACE_DIGESTS_PATH.read_text())
+    fresh = golden_regenerate.compute_trace_digests(pinned["max_ops"], pinned["seed"])
+    assert sorted(fresh["workloads"]) == sorted(pinned["workloads"])
+    for workload, digest in pinned["workloads"].items():
+        assert fresh["workloads"][workload] == digest, workload
+    assert fresh["every_opcode"] == pinned["every_opcode"]
+
+
 @pytest.mark.parametrize("workload", list_workloads())
 def test_functional_core_matches_golden(workload, golden_digests):
     """The compiled fast-forward core retires the exact Executor semantics.
@@ -263,20 +285,15 @@ def test_error_budget_holds_two_percent_on_long_workloads():
 TIMING_REFERENCES_PATH = Path(__file__).parent / "golden" / "timing_references.json"
 
 
-def test_predictor_sensitive_timing_matches_pinned_references():
+def test_predictor_sensitive_timing_matches_pinned_references(golden_regenerate):
     """A drifting branch, BTB, RAS or distance predictor, or a predictor
     snapshot that loses state between sampled windows, moves these cells.
 
     Every cell of ``golden/timing_references.json`` is recomputed and
     compared exactly; CI also regenerates the file and diffs it."""
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        "golden_regenerate", Path(__file__).parent / "golden" / "regenerate.py")
-    regenerate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regenerate)
     pinned = json.loads(TIMING_REFERENCES_PATH.read_text())
-    fresh = json.loads(json.dumps(regenerate.compute_timing_references(seed=pinned["seed"])))
+    fresh = json.loads(json.dumps(
+        golden_regenerate.compute_timing_references(seed=pinned["seed"])))
     assert fresh["machines"] == pinned["machines"], (
         "timing_references.json was pinned on another machine; regenerate it")
     assert sorted(fresh["cells"]) == sorted(pinned["cells"])

@@ -22,7 +22,7 @@ from repro.isa.executor import ExecutionLimitExceeded, Executor
 from repro.isa.functional import FunctionalCore
 from repro.isa.opcodes import Opcode
 from repro.isa.program import ProgramBuilder
-from repro.isa.registers import fp_reg, int_reg
+from repro.isa.registers import int_reg
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig, _GapWarmer
@@ -137,77 +137,6 @@ def test_fast_forward_keeps_its_position_when_a_return_raises(chunks, warm):
         assert raised._index == 2
 
 
-def _every_opcode_program():
-    """One program that executes every opcode the executor implements.
-
-    A loop runs its body four times, so each block is entered again after
-    it was compiled, both conditional branches go both ways, and a branch
-    lands in the middle of straight-line code.
-    """
-    r, f = int_reg, fp_reg
-    b = ProgramBuilder("every_opcode")
-    b.movi(r(0), 0x0123_4567_89AB_CDEF)
-    b.movi(r(1), -3)                              # masked to 2**64 - 3
-    b.movi(r(2), 0)                               # the zero divisor
-    b.movi(r(10), 0x4000)                         # memory base
-    b.movi(r(12), 4)                              # loop counter
-    b.label("loop")
-    b.addi(r(11), r(12), -1)                      # memory index: 3, 2, 1, 0
-    b.add(r(3), r(0), r(1))
-    b.sub(r(4), r(3), r(12))
-    b.and_(r(5), r(4), r(1))
-    b.or_(r(5), r(5), r(12))
-    b.xor(r(6), r(5), r(0))
-    b.shl(r(7), r(6), r(12))
-    b.shr(r(7), r(7), r(11))
-    b.andi(r(8), r(7), 0xFF0)
-    b.shli(r(8), r(8), 3)
-    b.shri(r(9), r(8), 2)
-    b.cmpeq(r(13), r(11), r(2))
-    b.cmplt(r(14), r(9), r(6))
-    b.mul(r(3), r(3), r(6))
-    b.div(r(4), r(3), r(9))
-    b.div(r(4), r(4), r(2))                       # by zero: 0
-    b.mov(r(5), r(1), width=64)
-    b.mov(r(5), r(0), width=32)
-    b.mov(r(6), r(0), width=16)
-    b.mov(r(6), r(1), width=8)
-    b.movzx8(r(7), r(0))
-    b.movzx8(r(8), r(0), src_high8=True)
-    b.store(r(3), base=r(10), index=r(11), scale=8, offset=8, size=8)
-    b.store(r(1), base=r(10), index=r(11), scale=4, offset=-4, size=4)
-    b.load(r(9), base=r(10), index=r(11), scale=8, offset=8, size=8)
-    b.load(r(15), base=r(10), index=r(11), scale=4, offset=-4, size=4)
-    b.i2f(f(0), r(3))
-    b.i2f(f(1), r(12))
-    b.i2f(f(7), r(2))
-    b.fadd(f(2), f(0), f(1))
-    b.fsub(f(3), f(2), f(0))
-    b.fmul(f(4), f(2), f(1))
-    b.fdiv(f(5), f(4), f(1))
-    b.fdiv(f(6), f(4), f(7))                      # by zero
-    b.fmov(f(7), f(5))
-    b.fstore(f(6), base=r(10), index=r(11), scale=8, offset=64, size=8)
-    b.fload(f(8), base=r(10), index=r(11), scale=8, offset=64, size=8)
-    b.f2i(r(13), f(8))
-    b.call("helper")
-    b.andi(r(14), r(12), 1)
-    b.bz(r(14), "middle")                         # taken on even counts
-    b.nop()
-    b.addi(r(0), r(0), 0x1111)
-    b.label("middle")
-    b.xor(r(0), r(0), r(15))
-    b.addi(r(12), r(12), -1)
-    b.bnz(r(12), "loop")
-    b.jmp("done")
-    b.label("helper")
-    b.addi(r(1), r(1), 5)
-    b.ret()
-    b.label("done")
-    b.halt()
-    return b.build()
-
-
 def _every_opcode_schedules():
     """(name, steps): a step is ``("ff", n)`` or ``("record", n)``."""
     schedules = [("straight", [("ff", 10_000)])]
@@ -220,8 +149,9 @@ def _every_opcode_schedules():
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warmed"])
 @pytest.mark.parametrize("name, steps", _every_opcode_schedules(),
                          ids=[name for name, _ in _every_opcode_schedules()])
-def test_fast_forward_runs_every_opcode_like_the_executor(name, steps, warm):
-    program = _every_opcode_program()
+def test_fast_forward_runs_every_opcode_like_the_executor(name, steps, warm,
+                                                         golden_regenerate):
+    program = golden_regenerate.every_opcode_program()
     assert {instruction.opcode for instruction in program} == set(Opcode)
     reference = Executor(program)
     expected = len(reference.run(max_ops=10_000))
