@@ -15,6 +15,11 @@ trace, so that
 All register values are 64-bit unsigned integers.  Floating-point micro-ops
 operate on the same 64-bit domain with distinct mixing functions; the timing
 model only cares about dependencies and value equality, not IEEE semantics.
+
+The ISA's semantics are written once, in the block generator of
+:class:`Executor` (with the ALU expression tables beside it): recording a
+trace and fast-forwarding (:mod:`repro.isa.functional`) run blocks that
+one generator emits, so the two can never compute different values.
 """
 
 from __future__ import annotations
@@ -142,10 +147,6 @@ class Trace:
     def __getitem__(self, index: int) -> DynamicOp:
         return self.ops[index]
 
-    def count(self, predicate) -> int:
-        """Number of dynamic micro-ops satisfying ``predicate``."""
-        return sum(1 for op in self.ops if predicate(op))
-
 
 class Executor:
     """Architectural (functional) executor for :class:`~repro.isa.program.Program`.
@@ -159,7 +160,24 @@ class Executor:
     initial_memory:
         Optional initial memory image as a mapping from aligned address to
         64-bit word.
+
+    Execution runs compiled *basic blocks*, the way a binary translator
+    runs translation blocks.  A block starts at a static leader (index 0,
+    every branch, jump and call target, every instruction after a control
+    transfer) and ends at its first control transfer or at the next
+    leader.  On its first visit, one generator emits the Python source of
+    the whole block and it is compiled into one function that applies
+    every instruction in turn and returns the next static index.  Blocks
+    come in two modes, each with its own table: *recording* blocks also
+    append one :class:`DynamicOp` per instruction (:meth:`run`), the
+    others only retire (``FunctionalCore.fast_forward``).  A count that
+    ends inside a block, or an entry at a non-leader, runs one-instruction
+    blocks from the same generator until the next leader.
     """
+
+    #: The warmer whose hooks the generated blocks call, if any;
+    #: ``FunctionalCore`` attaches one.
+    _warmer = None
 
     def __init__(self, program: Program,
                  initial_regs: dict[ArchReg, int] | None = None,
@@ -172,8 +190,31 @@ class Executor:
         self._call_stack: list[int] = []
         #: Static index of the next instruction to execute.
         self._index = 0
-        self._statics = [_precompute_static(program, index, instruction)
-                         for index, instruction in enumerate(program.instructions)]
+        instructions = program.instructions
+        self._statics = [_static_fields(program, index, instruction)
+                         for index, instruction in enumerate(instructions)]
+        self._derived = [None if static is None else derive_classification(*static[2:6])
+                         for static in self._statics]
+        limit = len(instructions)
+        # leaders[i]: a block starts at i.  HALT and the end of the program
+        # count as leaders too, so a block never runs into either.
+        leaders = [False] * (limit + 1)
+        leaders[0] = leaders[limit] = True
+        for index, instruction in enumerate(instructions):
+            if instruction.target is not None:
+                leaders[program.target_index(instruction.target)] = True
+            if instruction.opcode in _TRANSFERS:
+                leaders[index + 1] = True
+            elif instruction.opcode is Opcode.HALT:
+                leaders[index] = True
+        self._leaders = leaders
+        # Indexed by ``recording``: the (size, function) of the compiled
+        # block starting at each index, and the one-instruction blocks,
+        # compiled on demand for counts that end inside a block and for
+        # entries at non-leaders.
+        self._blocks = ([_UNCOMPILED] * (limit + 1), [_UNCOMPILED] * (limit + 1))
+        self._singles = ([None] * limit, [None] * limit)
+        self._bindings = self._block_bindings()
         if initial_regs:
             for reg, value in initial_regs.items():
                 self._write_reg(reg, value)
@@ -245,113 +286,228 @@ class Executor:
     def _execute(self, trace: Trace, count: int) -> bool:
         """Execute from ``self._index`` until ``trace`` holds ``count`` micro-ops.
 
-        The one handler loop behind :meth:`run` and
-        ``FunctionalCore.record``.  Each micro-op's ``seq`` is its position
-        in ``trace``.  Returns ``True`` when it stopped at ``HALT``.
+        The one recording loop behind :meth:`run` and
+        ``FunctionalCore.record``: it runs recording blocks, which append
+        one micro-op per instruction, each with its position in ``trace``
+        as ``seq``.  Returns ``True`` when it stopped at ``HALT``.
         ``self._index`` is left at the next instruction to execute, also
-        when a handler raises or the program runs off its end
+        when a block raises or the program runs off its end
         (:class:`ExecutionLimitExceeded`).
         """
-        index = self._index
-        instructions = self.program.instructions
-        statics = self._statics
-        limit = len(instructions)
-        base_pc = self.program.BASE_PC
-        bytes_per_op = self.program.BYTES_PER_OP
+        blocks = self._blocks[True]
         ops = trace.ops
         append = ops.append
-        write_reg = self._write_reg
+        index = self._index
+        recorded = len(ops)
         try:
-            while len(ops) < count:
-                if index >= limit:
-                    raise ExecutionLimitExceeded(
-                        f"program {self.program.name!r} ran past its last instruction; "
-                        "add an explicit halt() or loop"
-                    )
-                static = statics[index]
-                if static is None:  # HALT
-                    return True
-                pc, opcode, op_cls, dest, srcs, width, src_high8, imm, derived, handler = static
-                instruction = instructions[index]
-                result, mem_addr, mem_size, store_value, taken, target_pc, next_index = \
-                    handler(self, instruction, index)
-                if dest is not None and result is not None:
-                    write_reg(dest, result)
-                next_pc = (base_pc + next_index * bytes_per_op) if next_index < limit else pc + 4
-                append(DynamicOp(
-                    len(ops), pc, index, opcode, op_cls, dest, srcs, width, src_high8,
-                    imm, result, mem_addr, mem_size, store_value, next_pc, taken,
-                    target_pc, *derived,
-                ))
-                index = next_index
+            while recorded < count:
+                size, block = blocks[index]
+                if size > count - recorded:
+                    size, block = self._entry(index, count - recorded, True)
+                    if block is None:  # HALT
+                        return True
+                index = block(append, recorded)
+                recorded += size
             return False
         finally:
-            self._index = index
+            # A block that raised (only its closing RET can) recorded
+            # every instruction before it; otherwise this adds nothing.
+            self._index = index + len(ops) - recorded
 
-    def _execute_move(self, instruction: Instruction) -> int:
-        """Register-to-register move semantics, including x86-style partial widths."""
-        source = self.read_reg(instruction.srcs[0])
-        if instruction.opcode is Opcode.FMOV or instruction.width == 64:
-            return source
-        if instruction.width == 32:
-            # x86_64 zeroes the upper 32 bits on a 32-bit register move.
-            return source & 0xFFFFFFFF
-        destination = self.read_reg(instruction.dest)
-        if instruction.width == 16:
-            return (destination & ~0xFFFF) & _MASK64 | (source & 0xFFFF)
-        # 8-bit move merges into the low byte of the destination.
-        return (destination & ~0xFF) & _MASK64 | (source & 0xFF)
+    # -- the block compiler -------------------------------------------------------
 
-    def _effective_address(self, instruction: Instruction) -> tuple[int, int]:
-        """Compute the byte address and size of a memory micro-op."""
-        mem = instruction.mem
-        address = mem.offset
-        if mem.base is not None:
-            address += self.read_reg(mem.base)
-        if mem.index is not None:
-            address += self.read_reg(mem.index) * mem.scale
-        return address & _MASK64, mem.size
+    def _entry(self, index: int, left: int, recording: bool) -> tuple[int, object]:
+        """The block to run at ``index`` when the fast path has none that fits.
 
+        Compiles the block of a leader on its first visit; runs a
+        one-instruction block at a non-leader or when fewer than the
+        block's instructions are ``left``; returns ``(0, None)`` at
+        ``HALT``; raises at the end of the program.
+        """
+        statics = self._statics
+        if index == len(statics):
+            raise ExecutionLimitExceeded(
+                f"program {self.program.name!r} ran past its last instruction; "
+                "add an explicit halt() or loop")
+        if statics[index] is None:
+            return 0, None
+        if self._leaders[index]:
+            blocks = self._blocks[recording]
+            entry = blocks[index]
+            if entry is _UNCOMPILED:
+                stop = index + 1
+                while not self._leaders[stop]:
+                    stop += 1
+                entry = blocks[index] = (stop - index,
+                                         self._compile(index, stop, recording))
+            if entry[0] <= left:
+                return entry
+        singles = self._singles[recording]
+        single = singles[index]
+        if single is None:
+            single = singles[index] = self._compile(index, index + 1, recording)
+        return 1, single
 
-def _binary(handler):
-    """Wrap a two-source integer operation handler."""
+    def _block_bindings(self) -> dict:
+        """The names every generated block reads its objects through."""
+        stack = self._call_stack
+        name = self.program.name
 
-    def wrapped(executor: Executor, instruction: Instruction) -> int:
-        a = executor.read_reg(instruction.srcs[0])
-        b = executor.read_reg(instruction.srcs[1])
-        return handler(a, b) & _MASK64
+        def unmatched_return():
+            raise ExecutionLimitExceeded(
+                f"return without a matching call in program {name!r}")
 
-    return wrapped
+        bindings = {
+            "ir": self._int_regs, "fr": self._fp_regs,
+            "get": self._memory.get, "mem": self._memory,
+            "stack": stack, "push": stack.append, "pop": stack.pop,
+            "unmatched_return": unmatched_return,
+            "Op": DynamicOp, "H": self._statics, "D": self._derived,
+        }
+        warmer = self._warmer
+        if warmer is not None:
+            bindings.update(
+                warm_load=warmer.load, warm_store=warmer.store,
+                warm_cond=warmer.cond, warm_jump=warmer.jump,
+                warm_call=warmer.call, warm_ret=warmer.ret)
+        return bindings
 
+    def _compile(self, start: int, stop: int, recording: bool):
+        """Compile the instructions ``[start, stop)`` into one block function.
 
-def _immediate(handler):
-    """Wrap a source-plus-immediate integer operation handler."""
+        The block's globals are this executor's bindings, so every object
+        it touches is one dictionary away and nothing but integers and the
+        shared ALU expressions is ever formatted into its source.  A
+        recording block takes the trace's ``append`` and the ``seq`` of its
+        first micro-op.
+        """
+        header = "def block(append, n):\n    " if recording else "def block():\n    "
+        source = header + "\n    ".join(self._block_source(start, stop, recording))
+        namespace = self._bindings
+        exec(compile(source, "<basic block>", "exec"), namespace)
+        return namespace.pop("block")
 
-    def wrapped(executor: Executor, instruction: Instruction) -> int:
-        a = executor.read_reg(instruction.srcs[0])
-        return handler(a, instruction.imm) & _MASK64
+    def _block_source(self, start: int, stop: int, recording: bool):
+        """Yield the Python source lines of the block ``[start, stop)``.
 
-    return wrapped
+        The lines apply each instruction's full architectural effect in
+        program order, call the warmer's hooks (when a warmer is attached),
+        append the instruction's :class:`DynamicOp` (when ``recording``)
+        and end by returning the next static index.  A recorded op's static
+        fields come from the ``H`` and ``D`` tables by index; only its
+        dynamic fields are written out, as source text.
+        """
+        program = self.program
+        warmed = self._warmer is not None
+        for index in range(start, stop):
+            instruction = program.instructions[index]
+            opcode = instruction.opcode
+            pc = program.pc_of(index)
+            nxt = index + 1
+            dest = _slot(instruction.dest) if instruction.dest is not None else None
+            srcs = [_slot(reg) for reg in instruction.srcs]
+            # The recorded op's dynamic fields and, after a control
+            # transfer, the block's return value.
+            address = stored = target_pc = "None"
+            size = 8
+            next_pc = program.pc_of(nxt)
+            taken = "False"
+            exit_ = None
 
-
-def _unary(handler):
-    """Wrap a single-source operation handler."""
-
-    def wrapped(executor: Executor, instruction: Instruction) -> int:
-        a = executor.read_reg(instruction.srcs[0])
-        return handler(a) & _MASK64
-
-    return wrapped
+            if opcode in BINARY_EXPRESSIONS:
+                value = BINARY_EXPRESSIONS[opcode].format(a=srcs[0], b=srcs[1])
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode in IMMEDIATE_EXPRESSIONS:
+                imm = instruction.imm
+                value = IMMEDIATE_EXPRESSIONS[opcode].format(
+                    a=srcs[0], imm=imm if imm >= 0 else f"({imm})")
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode in UNARY_EXPRESSIONS:
+                value = UNARY_EXPRESSIONS[opcode].format(a=srcs[0])
+                yield f"{dest} = ({value}) & {_MASK64}"
+            elif opcode is Opcode.MOVI:
+                yield f"{dest} = {instruction.imm & _MASK64}"
+            elif opcode is Opcode.FMOV or (opcode is Opcode.MOV and instruction.width == 64):
+                yield f"{dest} = {srcs[0]}"
+            elif opcode is Opcode.MOV and instruction.width == 32:
+                # x86_64 zeroes the upper 32 bits on a 32-bit register move.
+                yield f"{dest} = {srcs[0]} & 0xFFFFFFFF"
+            elif opcode is Opcode.MOV:
+                # 16- and 8-bit moves merge into the low bits of the destination.
+                mask = 0xFFFF if instruction.width == 16 else 0xFF
+                yield f"{dest} = ({dest} & {~mask & _MASK64}) | ({srcs[0]} & {mask})"
+            elif opcode is Opcode.MOVZX8 and instruction.src_high8:
+                yield f"{dest} = ({srcs[0]} >> 8) & 0xFF"
+            elif opcode is Opcode.MOVZX8:
+                yield f"{dest} = {srcs[0]} & 0xFF"
+            elif opcode in (Opcode.LOAD, Opcode.FLOAD):
+                address, size = "a", instruction.mem.size
+                yield f"a = {_address(instruction)}"
+                if warmed:
+                    yield f"warm_load({pc}, a)"
+                # Little endian; bytes never written read as zero.
+                yield f"{dest} = get(a, 0) | " + " | ".join(
+                    f"get(a + {offset}, 0) << {8 * offset}" for offset in range(1, size))
+            elif opcode in (Opcode.STORE, Opcode.FSTORE):
+                address, size = "a", instruction.mem.size
+                stored = "v & 0xFFFFFFFF" if size == 4 else "v"
+                yield f"a = {_address(instruction)}"
+                if warmed:
+                    yield f"warm_store({pc}, a)"
+                yield f"v = {srcs[0]}"
+                yield "mem[a] = v & 0xFF"
+                for offset in range(1, size):
+                    yield f"mem[a + {offset}] = (v >> {8 * offset}) & 0xFF"
+            elif opcode in (Opcode.BNZ, Opcode.BZ):
+                target = program.target_index(instruction.target)
+                target_pc = program.pc_of(target)
+                condition = f"{srcs[0]} {'!=' if opcode is Opcode.BNZ else '=='} 0"
+                if warmed or recording:
+                    yield f"taken = {condition}"
+                    condition = taken = "taken"
+                if warmed:
+                    yield f"warm_cond({pc}, taken, {target_pc})"
+                next_pc = f"{target_pc} if taken else {next_pc}"
+                exit_ = f"{target} if {condition} else {nxt}"
+            elif opcode in (Opcode.JMP, Opcode.CALL):
+                exit_ = program.target_index(instruction.target)
+                next_pc = target_pc = program.pc_of(exit_)
+                taken = "True"
+                if warmed:
+                    kind = "jump" if opcode is Opcode.JMP else "call"
+                    yield f"warm_{kind}({pc}, {target_pc})"
+                if opcode is Opcode.CALL:
+                    yield f"push({nxt})"
+            elif opcode is Opcode.RET:
+                yield "if not stack:"
+                yield "    unmatched_return()"
+                if warmed:
+                    yield f"warm_ret({pc})"
+                exit_ = "pop()"
+                if recording:
+                    yield f"r = {exit_}"
+                    exit_, taken = "r", "True"
+                    target_pc = f"{program.BASE_PC} + r * {program.BYTES_PER_OP}"
+                    # A return past the last instruction keeps pc + 4.
+                    next_pc = f"{target_pc} if r < {len(program)} else {pc + 4}"
+            elif opcode is not Opcode.NOP:
+                raise ValueError(f"no block compiler for opcode {opcode!r}")
+            if recording:
+                result = dest or "None"
+                yield (f"append(Op(n + {index - start}, *H[{index}], {result}, "
+                       f"{address}, {size}, {stored}, {next_pc}, {taken}, "
+                       f"{target_pc}, *D[{index}]))")
+            if exit_ is not None:
+                yield f"return {exit_}"
+                return
+        yield f"return {stop}"
 
 
 #: Value semantics of the two-source / immediate / one-source ALU
 #: micro-ops, written once as Python expressions over the first source
 #: ``{a}`` and the second source ``{b}`` or the immediate ``{imm}``; the
-#: result is then masked to 64 bits.  These tables are the single source of
-#: truth of both execution backends: the handler table below evaluates each
-#: expression as a lambda, and the fast-forward block compiler in
-#: :mod:`repro.isa.functional` fills the operands of each static
-#: instruction in, so the two backends can never compute different results.
+#: result is then masked to 64 bits.  The block compiler fills in the
+#: operands of each static instruction.
 BINARY_EXPRESSIONS = {
     Opcode.IADD: "{a} + {b}",
     Opcode.ISUB: "{a} - {b}",
@@ -382,153 +538,40 @@ UNARY_EXPRESSIONS = {
     Opcode.F2I: "{a}",
 }
 
+#: Opcodes that end a basic block: every instruction after one is a leader.
+_TRANSFERS = frozenset({Opcode.BNZ, Opcode.BZ, Opcode.JMP, Opcode.CALL, Opcode.RET})
 
-def _evaluate(params: str, expression: str):
-    """The lambda over ``params`` that computes an ALU expression."""
-    return eval(f"lambda {params}: {expression.format(a='a', b='b', imm='imm')}")
-
-
-_ALU_HANDLERS = {
-    **{opcode: _binary(_evaluate("a, b", expression))
-       for opcode, expression in BINARY_EXPRESSIONS.items()},
-    **{opcode: _immediate(_evaluate("a, imm", expression))
-       for opcode, expression in IMMEDIATE_EXPRESSIONS.items()},
-    **{opcode: _unary(_evaluate("a", expression))
-       for opcode, expression in UNARY_EXPRESSIONS.items()},
-}
+#: The block table entry of an index with no compiled block yet (a leader
+#: on its first visit, a non-leader, ``HALT`` or the end of the program):
+#: it is larger than any count, so the run loops take their slow path.
+_UNCOMPILED = (float("inf"), None)
 
 
-# ---------------------------------------------------------------------------
-# Per-opcode dispatch table
-# ---------------------------------------------------------------------------
-#
-# Every handler computes the full dynamic effect of one static instruction:
-# ``(result, mem_addr, mem_size, store_value, taken, target_pc, next_index)``.
-# :meth:`Executor._execute` indexes this table directly instead of walking an
-# if/elif chain, which keeps the per-micro-op cost flat across opcodes.
-
-#: Precomputed opcode -> OpClass mapping (avoids a function call per micro-op).
-_CLASS_OF = {opcode: op_class(opcode) for opcode in Opcode if opcode is not Opcode.HALT}
+def _slot(reg: ArchReg) -> str:
+    """Source text of the register-file slot holding ``reg``."""
+    name = "ir" if reg.reg_class is RegClass.INT else "fr"
+    return f"{name}[{reg.index}]"
 
 
-def _step_alu(handler):
-    """Adapt a result-only ALU handler to the full-effect signature."""
-
-    def step(executor: Executor, instruction: Instruction, index: int):
-        return handler(executor, instruction), None, 8, None, False, None, index + 1
-
-    return step
-
-
-def _step_movi(executor: Executor, instruction: Instruction, index: int):
-    return instruction.imm & _MASK64, None, 8, None, False, None, index + 1
-
-
-def _step_move(executor: Executor, instruction: Instruction, index: int):
-    return executor._execute_move(instruction), None, 8, None, False, None, index + 1
+def _address(instruction: Instruction) -> str:
+    """Source text of a memory micro-op's effective address."""
+    mem = instruction.mem
+    terms = [str(mem.offset)] if mem.offset else []
+    if mem.base is not None:
+        terms.append(_slot(mem.base))
+    if mem.index is not None:
+        terms.append(_slot(mem.index) if mem.scale == 1
+                     else f"{_slot(mem.index)} * {mem.scale}")
+    return f"({' + '.join(terms) or '0'}) & {_MASK64}"
 
 
-def _step_movzx8(executor: Executor, instruction: Instruction, index: int):
-    source = executor.read_reg(instruction.srcs[0])
-    byte = (source >> 8) & 0xFF if instruction.src_high8 else source & 0xFF
-    return byte, None, 8, None, False, None, index + 1
-
-
-def _step_load(executor: Executor, instruction: Instruction, index: int):
-    mem_addr, mem_size = executor._effective_address(instruction)
-    return (executor.read_memory(mem_addr, mem_size), mem_addr, mem_size, None,
-            False, None, index + 1)
-
-
-def _step_store(executor: Executor, instruction: Instruction, index: int):
-    mem_addr, mem_size = executor._effective_address(instruction)
-    store_value = executor.read_reg(instruction.srcs[0])
-    if mem_size == 4:
-        store_value &= 0xFFFFFFFF
-    executor._write_memory(mem_addr, store_value, mem_size)
-    return None, mem_addr, mem_size, store_value, False, None, index + 1
-
-
-def _step_bnz(executor: Executor, instruction: Instruction, index: int):
-    taken = executor.read_reg(instruction.srcs[0]) != 0
-    target_index = executor.program.target_index(instruction.target)
-    target_pc = executor.program.pc_of(target_index)
-    return None, None, 8, None, taken, target_pc, target_index if taken else index + 1
-
-
-def _step_bz(executor: Executor, instruction: Instruction, index: int):
-    taken = executor.read_reg(instruction.srcs[0]) == 0
-    target_index = executor.program.target_index(instruction.target)
-    target_pc = executor.program.pc_of(target_index)
-    return None, None, 8, None, taken, target_pc, target_index if taken else index + 1
-
-
-def _step_jmp(executor: Executor, instruction: Instruction, index: int):
-    next_index = executor.program.target_index(instruction.target)
-    return None, None, 8, None, True, executor.program.pc_of(next_index), next_index
-
-
-def _step_call(executor: Executor, instruction: Instruction, index: int):
-    executor._call_stack.append(index + 1)
-    next_index = executor.program.target_index(instruction.target)
-    return None, None, 8, None, True, executor.program.pc_of(next_index), next_index
-
-
-def _step_ret(executor: Executor, instruction: Instruction, index: int):
-    if not executor._call_stack:
-        raise ExecutionLimitExceeded(
-            f"return without a matching call in program {executor.program.name!r}"
-        )
-    next_index = executor._call_stack.pop()
-    return None, None, 8, None, True, executor.program.pc_of(next_index), next_index
-
-
-def _step_nop(executor: Executor, instruction: Instruction, index: int):
-    return None, None, 8, None, False, None, index + 1
-
-
-_DISPATCH = {opcode: _step_alu(handler) for opcode, handler in _ALU_HANDLERS.items()}
-_DISPATCH.update({
-    Opcode.MOVI: _step_movi,
-    Opcode.MOV: _step_move,
-    Opcode.FMOV: _step_move,
-    Opcode.MOVZX8: _step_movzx8,
-    Opcode.LOAD: _step_load,
-    Opcode.FLOAD: _step_load,
-    Opcode.STORE: _step_store,
-    Opcode.FSTORE: _step_store,
-    Opcode.BNZ: _step_bnz,
-    Opcode.BZ: _step_bz,
-    Opcode.JMP: _step_jmp,
-    Opcode.CALL: _step_call,
-    Opcode.RET: _step_ret,
-    Opcode.NOP: _step_nop,
-})
-
-
-def _precompute_static(program: Program, index: int, instruction: Instruction):
-    """Precompute everything about a static instruction that its dynamic
-    instances share: decoded fields, classification flags, flat register
-    indices and the dispatch handler.  Returns ``None`` for ``HALT`` (the
-    run loop's stop marker).  An opcode missing from the dispatch table is
-    a table bug and raises ``KeyError`` here, at decode time.
-    """
+def _static_fields(program: Program, index: int, instruction: Instruction):
+    """The :class:`DynamicOp` fields ``pc`` .. ``imm`` that every dynamic
+    instance of a static instruction shares, or ``None`` for ``HALT`` (the
+    run loops' stop marker)."""
     opcode = instruction.opcode
     if opcode is Opcode.HALT:
         return None
-    op_cls = _CLASS_OF[opcode]
-    dest = instruction.dest
-    srcs = instruction.source_registers()
-    derived = derive_classification(opcode, op_cls, dest, srcs)
-    return (
-        program.BASE_PC + index * program.BYTES_PER_OP,
-        opcode,
-        op_cls,
-        dest,
-        srcs,
-        instruction.width,
-        instruction.src_high8,
-        instruction.imm,
-        derived,
-        _DISPATCH[opcode],
-    )
+    return (program.pc_of(index), index, opcode, op_class(opcode), instruction.dest,
+            instruction.source_registers(), instruction.width,
+            instruction.src_high8, instruction.imm)

@@ -623,9 +623,9 @@ class Core:
         overwriting that architectural register is younger and in-order
         commit forces the consumer to commit (hence issue) first -- so a
         woken entry needs no operand re-verification, only its functional
-        unit and memory-dependence checks.  (The callback-based
-        :meth:`IssueQueue.issue` remains for unit tests and alternative
-        cores.)
+        unit and memory-dependence checks.  The issue queue itself only
+        holds the entries: this loop selects from ``_ready`` and accounts
+        for what it issued with :meth:`IssueQueue.note_issued`.
         """
         ready = self._ready
         if not ready:

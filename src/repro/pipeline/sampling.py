@@ -97,7 +97,6 @@ from repro.common.history import PathHistory, ShiftHistory
 from repro.common.statistics import t_critical_95, weighted_mean_std
 from repro.isa.executor import Trace
 from repro.isa.functional import FunctionalCore
-from repro.isa.opcodes import Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
@@ -334,12 +333,12 @@ class _GapWarmer:
     LRU, dirty bits), the stride prefetcher, DRAM open rows, the BTB, the
     RAS and the global branch/path history registers.  During planning it
     is trained continuously over the *whole* architectural instruction
-    stream: by the :class:`~repro.isa.functional.FunctionalCore` hooks
-    across the fast-forward gaps and by :meth:`train_trace` over each
-    recorded detailed stretch.  Its state at a stretch boundary is
-    therefore a pure function of the instruction stream -- identical for
-    every tracker scheme -- which is what lets the checkpoint farm share
-    one warmup across a whole sweep.
+    stream: the :class:`~repro.isa.functional.FunctionalCore` blocks call
+    its hooks both across the fast-forward gaps and while recording each
+    detailed stretch.  Its state at a stretch boundary is therefore a pure
+    function of the instruction stream -- identical for every tracker
+    scheme -- which is what lets the checkpoint farm share one warmup
+    across a whole sweep.
 
     The TAGE branch predictor and the SMB distance predictor are *not*
     warmed (their per-branch training is as expensive as detailed
@@ -370,32 +369,6 @@ class _GapWarmer:
             history=self.history.value,
             path=self.path.value,
         )
-
-    def train_trace(self, trace: Trace) -> None:
-        """Architecturally warm over a recorded detailed stretch.
-
-        ``FunctionalCore.record`` runs the handler loop, which does not
-        invoke the warming hooks, so the planner feeds the recorded
-        micro-ops through the same hooks afterwards -- keeping the warmed
-        structures trained over the *entire* instruction stream.
-        """
-        load = self.load
-        store = self.store
-        cond = self.cond
-        for op in trace.ops:
-            if op.is_load:
-                load(op.pc, op.mem_addr)
-            elif op.is_store:
-                store(op.pc, op.mem_addr)
-            elif op.is_branch:
-                if op.is_conditional_branch:
-                    cond(op.pc, op.taken, op.target_pc)
-                elif op.opcode is Opcode.JMP:
-                    self.jump(op.pc, op.target_pc)
-                elif op.opcode is Opcode.CALL:
-                    self.call(op.pc, op.target_pc)
-                elif op.opcode is Opcode.RET:
-                    self.ret(op.pc)
 
     # -- FunctionalCore warming hooks (load and store: see __init__) ----------------
 
@@ -527,12 +500,11 @@ class SampledSimulator:
                 break
             measure_ops = min(sampling.window, remaining - warm_ops)
             cool_ops = min(sampling.cooldown, remaining - warm_ops - measure_ops)
+            # The warm image belongs to the stretch *start*: capture before
+            # recording trains the warmer over the stretch's own micro-ops.
+            warm_state = warmer.capture()
             trace = fcore.record(warm_ops + measure_ops + cool_ops,
                                  name=f"{name}#w{measured_windows}")
-            # The warm image belongs to the stretch *start*: capture before
-            # training the warmer over the stretch's own micro-ops.
-            warm_state = warmer.capture()
-            warmer.train_trace(trace)
             if len(trace) <= warm_ops:  # halted inside the warmup
                 if len(trace):
                     stretches.append(PlannedStretch(
@@ -782,26 +754,26 @@ def _run_stretches(
     the final execution will use.
     """
     core = Core(config)
-    snap: CoreSnapshot | None = None
     windows: list[tuple[int, int, SimulationResult]] = []
     warmup_ops = 0
     cooldown_ops = 0
     detailed_cycles_extra = 0
 
-    for stretch in stretches:
+    for number, stretch in enumerate(stretches):
         trace = stretch.trace
+        # Each stretch after the first resumes from the state the previous
+        # one left; nothing reads the state after the last.
+        snap = core.snapshot() if number else None
         resume = _resume_with_warm_state(snap, stretch.warm)
         if not stretch.measure_ops:  # halted inside the warmup
             warmup_ops += len(trace)
             tail_result = core.run(trace, resume=resume)
             detailed_cycles_extra += tail_result.cycles
-            snap = core.snapshot()
             continue
         warm_ops = stretch.warm_ops
         window_end = warm_ops + stretch.measure_ops
         milestones = [commit for commit in (warm_ops, window_end) if commit]
         result = core.run(trace, resume=resume, commit_milestones=milestones)
-        snap = core.snapshot()
         # With no warmup the window includes the pipeline-fill ramp; when
         # the trace ends at the window (no cooldown ops recorded) it
         # includes the end-of-run drain.

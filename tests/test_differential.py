@@ -7,8 +7,9 @@ three directions:
 * every scheme commits exactly the trace (same committed micro-op count,
   same commit-side event counts);
 * the functional executor's final architectural register/memory state is
-  deterministic and matches a committed golden digest, so a hot-path
-  "optimisation" that changes semantics fails loudly;
+  deterministic and matches a committed golden digest, and every field of
+  every micro-op it records matches a committed trace digest, so a
+  hot-path "optimisation" that changes semantics fails loudly;
 * cycle counts are the *only* thing allowed to differ between schemes.
 """
 
@@ -157,8 +158,8 @@ def test_traces_match_golden_field_digests(golden_regenerate):
 def test_functional_core_matches_golden(workload, golden_digests):
     """The compiled fast-forward core retires the exact Executor semantics.
 
-    ``FunctionalCore.fast_forward`` runs compiled basic blocks instead of
-    the handler table; its final architectural state must match
+    ``FunctionalCore.fast_forward`` runs the non-recording blocks of the
+    executor's block generator; its final architectural state must match
     the committed golden digest bit for bit, also when the run is split
     into two calls.
     """

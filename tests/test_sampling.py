@@ -2,9 +2,10 @@
 
 The load-bearing contracts:
 
-* the compiled fast-forward path and the handler-based record path retire
-  bit-identical architectural state, and ``record`` produces micro-ops
-  field-identical to an uninterrupted :class:`Executor` run;
+* the fast-forward blocks and the recording blocks retire bit-identical
+  architectural state and call the warming hooks alike, and ``record``
+  produces micro-ops field-identical to an uninterrupted
+  :class:`Executor` run (``golden/trace_digests.json`` pins that run);
 * the sampled driver retires exactly ``max_ops`` micro-ops, reports the
   sampling statistics, and is fully deterministic;
 * the CLI flags reach the sampled path.
@@ -196,22 +197,39 @@ class _LoggingWarmer(_GapWarmer):
         return logged
 
 
+def _train_over(warmer: _GapWarmer, trace) -> None:
+    """Feed a recorded trace's micro-ops through the warming hooks: the
+    reference stream the compiled blocks must call the hooks with."""
+    for op in trace.ops:
+        if op.is_load:
+            warmer.load(op.pc, op.mem_addr)
+        elif op.is_store:
+            warmer.store(op.pc, op.mem_addr)
+        elif op.is_conditional_branch:
+            warmer.cond(op.pc, op.taken, op.target_pc)
+        elif op.opcode is Opcode.JMP:
+            warmer.jump(op.pc, op.target_pc)
+        elif op.opcode is Opcode.CALL:
+            warmer.call(op.pc, op.target_pc)
+        elif op.opcode is Opcode.RET:
+            warmer.ret(op.pc)
+
+
 @pytest.mark.parametrize("workload", ["long_phase_mix", "long_stride_drift",
                                       "deep_recursion", "branchy"])
 def test_fast_forward_warms_the_executor_stream(workload):
-    """Fast-forward hooks plus trained windows warm exactly what training
-    over the executor's trace of the same micro-ops warms."""
+    """Fast-forward and recording hooks warm exactly what training over
+    the executor's trace of the same micro-ops warms."""
     image = build_workload(workload, seed=1)
     warmer = _LoggingWarmer(CoreConfig())
     core = FunctionalCore.from_image(image, warmer=warmer)
     for chunk, window in ((1, 7), (2_345, 300), (3, 1), (7_777, 1_200), (13, 0),
                           (5_000, 64)):
         assert core.fast_forward(chunk) == chunk
-        # As the sampled planner does: the handler loop records a window,
-        # and the warmer is trained over it afterwards.
-        warmer.train_trace(core.record(window))
+        # As the sampled planner does: recording a window warms it too.
+        assert len(core.record(window)) == window
     reference = _LoggingWarmer(CoreConfig())
-    reference.train_trace(_executor_for(image).run(max_ops=core.retired))
+    _train_over(reference, _executor_for(image).run(max_ops=core.retired))
     assert len(warmer.log) > 1_000
     assert warmer.log == reference.log
     assert warmer.capture() == reference.capture()

@@ -28,6 +28,7 @@ from repro.experiments.cli import main
 from repro.experiments.grid import Job, SweepSpec, known_schemes, scheme_config
 from repro.experiments.report import build_report
 from repro.experiments.runner import run_jobs, run_sweep
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.telemetry import (
     MetricsRegistry,
@@ -266,6 +267,38 @@ def test_traced_run_is_bit_identical(scheme):
     assert traced.cycles == plain.cycles
     assert traced.stats == plain.stats
     assert traced_core.snapshot().digest() == plain_core.snapshot().digest()
+
+
+def test_untraced_run_never_calls_into_the_tracer():
+    """With tracing off, a run never enters ``repro/telemetry/trace.py``.
+
+    The invariant behind the CI gate that times a tracing-off run against
+    its base, counted here with ``sys.setprofile`` so it holds on any host.
+    """
+    import repro.telemetry.trace as tracer_module
+
+    trace = generate_trace("spill_reload", max_ops=2_000, seed=1)
+    config = CoreConfig().with_move_elimination().with_smb()
+
+    def calls_into_tracer(config: CoreConfig) -> int:
+        core = Core(config)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == tracer_module.__file__:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            core.run(trace)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    assert config.trace is None
+    assert calls_into_tracer(config) == 0
+    assert calls_into_tracer(config.replace(trace=TraceConfig())) > 0
 
 
 def test_trace_exports_are_byte_stable_across_runs():
