@@ -215,12 +215,13 @@ class Executor:
         self._blocks = ([_UNCOMPILED] * (limit + 1), [_UNCOMPILED] * (limit + 1))
         self._singles = ([None] * limit, [None] * limit)
         self._bindings = self._block_bindings()
-        if initial_regs:
-            for reg, value in initial_regs.items():
-                self._write_reg(reg, value)
-        if initial_memory:
-            for address, value in initial_memory.items():
-                self._write_memory(address, value & _MASK64, 8)
+        for reg, value in (initial_regs or {}).items():
+            regs = self._int_regs if reg.reg_class is RegClass.INT else self._fp_regs
+            regs[reg.index] = value & _MASK64
+        for address, value in (initial_memory or {}).items():
+            # Little endian, one byte per address.
+            self._memory.update(zip(range(address, address + 8),
+                                    (value & _MASK64).to_bytes(8, "little")))
 
     # -- architectural state accessors -------------------------------------------
 
@@ -229,13 +230,6 @@ class Executor:
         if reg.reg_class is RegClass.INT:
             return self._int_regs[reg.index]
         return self._fp_regs[reg.index]
-
-    def _write_reg(self, reg: ArchReg, value: int) -> None:
-        value &= _MASK64
-        if reg.reg_class is RegClass.INT:
-            self._int_regs[reg.index] = value
-        else:
-            self._fp_regs[reg.index] = value
 
     def state_digest(self) -> str:
         """SHA-256 digest of the full architectural state (registers + memory).
@@ -264,10 +258,6 @@ class Executor:
         for offset in range(size):
             value |= self._memory.get(address + offset, 0) << (8 * offset)
         return value
-
-    def _write_memory(self, address: int, value: int, size: int) -> None:
-        for offset in range(size):
-            self._memory[address + offset] = (value >> (8 * offset)) & 0xFF
 
     # -- execution ----------------------------------------------------------------
 
