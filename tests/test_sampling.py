@@ -197,24 +197,6 @@ class _LoggingWarmer(_GapWarmer):
         return logged
 
 
-def _train_over(warmer: _GapWarmer, trace) -> None:
-    """Feed a recorded trace's micro-ops through the warming hooks: the
-    reference stream the compiled blocks must call the hooks with."""
-    for op in trace.ops:
-        if op.is_load:
-            warmer.load(op.pc, op.mem_addr)
-        elif op.is_store:
-            warmer.store(op.pc, op.mem_addr)
-        elif op.is_conditional_branch:
-            warmer.cond(op.pc, op.taken, op.target_pc)
-        elif op.opcode is Opcode.JMP:
-            warmer.jump(op.pc, op.target_pc)
-        elif op.opcode is Opcode.CALL:
-            warmer.call(op.pc, op.target_pc)
-        elif op.opcode is Opcode.RET:
-            warmer.ret(op.pc)
-
-
 @pytest.mark.parametrize("workload", ["long_phase_mix", "long_stride_drift",
                                       "deep_recursion", "branchy"])
 def test_fast_forward_warms_the_executor_stream(workload):
@@ -228,8 +210,22 @@ def test_fast_forward_warms_the_executor_stream(workload):
         assert core.fast_forward(chunk) == chunk
         # As the sampled planner does: recording a window warms it too.
         assert len(core.record(window)) == window
+    # The reference: the executor's trace of the same micro-ops, fed
+    # through the hooks one micro-op at a time.
     reference = _LoggingWarmer(CoreConfig())
-    _train_over(reference, _executor_for(image).run(max_ops=core.retired))
+    for op in _executor_for(image).run(max_ops=core.retired):
+        if op.is_load:
+            reference.load(op.pc, op.mem_addr)
+        elif op.is_store:
+            reference.store(op.pc, op.mem_addr)
+        elif op.is_conditional_branch:
+            reference.cond(op.pc, op.taken, op.target_pc)
+        elif op.opcode is Opcode.JMP:
+            reference.jump(op.pc, op.target_pc)
+        elif op.opcode is Opcode.CALL:
+            reference.call(op.pc, op.target_pc)
+        elif op.opcode is Opcode.RET:
+            reference.ret(op.pc)
     assert len(warmer.log) > 1_000
     assert warmer.log == reference.log
     assert warmer.capture() == reference.capture()
