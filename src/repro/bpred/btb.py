@@ -63,7 +63,7 @@ class BranchTargetBuffer:
         """Overwrite the BTB contents with a :meth:`to_snapshot` image."""
         if len(snapshot) != self.sets:
             raise ValueError("BTB snapshot geometry does not match this BTB")
-        self._sets = [{pc: target for pc, target in rows} for rows in snapshot]
+        self._sets = [dict(rows) for rows in snapshot]
 
     def storage_bits(self, target_bits: int = 32, tag_bits: int = 20) -> int:
         """Approximate storage requirement in bits."""

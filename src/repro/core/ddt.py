@@ -127,17 +127,21 @@ class DataDependencyTable:
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
     def to_snapshot(self) -> dict:
-        """Serialise the table contents (statistics excluded)."""
+        """Serialise the table contents (statistics excluded).
+
+        The ``(tag, csn)`` entries are immutable tuples, so the image shares
+        them: a copy of each table is still a value, and one capture makes
+        no container per entry.
+        """
         return {
             "unlimited": dict(self._unlimited),
-            "table": {index: list(entry) for index, entry in self._table.items()},
+            "table": dict(self._table),
         }
 
     def restore_snapshot(self, snapshot: dict) -> None:
         """Overwrite the table contents with a :meth:`to_snapshot` image."""
         self._unlimited = {int(word): csn for word, csn in snapshot["unlimited"].items()}
-        self._table = {int(index): (tag, csn)
-                       for index, (tag, csn) in snapshot["table"].items()}
+        self._table = dict(snapshot["table"])
 
     def storage_bits(self, csn_bits: int = 8, address_bits: int = 64) -> int:
         """Approximate storage cost in bits.

@@ -80,23 +80,61 @@ class SetAssociativeCache:
         self.misses += 1
         return False
 
-    def fill(self, address: int, is_write: bool = False, is_prefetch: bool = False) -> None:
+    def fill(self, address: int, is_write: bool = False) -> None:
         """Install the line containing ``address``, evicting the LRU line if needed."""
-        set_index, tag = self._locate(address)
-        cache_set = self._sets[set_index]
+        line = address // self._line_bytes
+        cache_set = self._sets[line % self._num_sets]
+        tag = line // self._num_sets
         if tag in cache_set:
             dirty = cache_set.pop(tag)
             cache_set[tag] = dirty or is_write
             return
+        self._install(cache_set, tag, is_write)
+
+    def lookup_or_fill(self, address: int, is_write: bool = False) -> bool:
+        """:meth:`lookup`, then :meth:`fill` on a miss, locating the line once.
+
+        Returns ``True`` on a hit.  The hierarchy's L1-miss paths call this
+        on the L2, so a miss costs one call instead of two.
+        """
+        line = address // self._line_bytes
+        cache_set = self._sets[line % self._num_sets]
+        tag = line // self._num_sets
+        if tag in cache_set:
+            dirty = cache_set.pop(tag)
+            cache_set[tag] = dirty or is_write
+            self.hits += 1
+            return True
+        self.misses += 1
+        self._install(cache_set, tag, is_write)
+        return False
+
+    def prefetch(self, addresses: list[int]) -> None:
+        """Install the line of each address that is absent, clean, as a prefetch.
+
+        A present line keeps its LRU position and dirty bit.  Hits and
+        misses are not counted; ``prefetch_fills`` and evictions are.
+        """
+        line_bytes = self._line_bytes
+        num_sets = self._num_sets
+        sets = self._sets
+        for address in addresses:
+            line = address // line_bytes
+            cache_set = sets[line % num_sets]
+            tag = line // num_sets
+            if tag not in cache_set:
+                self._install(cache_set, tag, False)
+                self.prefetch_fills += 1
+
+    def _install(self, cache_set: dict[int, bool], tag: int, dirty: bool) -> None:
+        """Insert an absent ``tag`` as MRU, evicting the set's LRU line if full."""
         if len(cache_set) >= self.config.ways:
-            _victim, dirty = next(iter(cache_set.items()))
-            del cache_set[_victim]
+            victim, victim_dirty = next(iter(cache_set.items()))
+            del cache_set[victim]
             self.evictions += 1
-            if dirty:
+            if victim_dirty:
                 self.writebacks += 1
-        cache_set[tag] = is_write
-        if is_prefetch:
-            self.prefetch_fills += 1
+        cache_set[tag] = dirty
 
     def probe(self, address: int) -> bool:
         """Return ``True`` if the line is present, without touching LRU or statistics."""
@@ -125,7 +163,9 @@ class SetAssociativeCache:
         if len(snapshot) != len(self._sets):
             raise ValueError(
                 f"{self.config.name}: snapshot geometry does not match this cache")
-        self._sets = [{tag: bool(dirty) for tag, dirty in rows} for rows in snapshot]
+        # One dict() per set: the dirty flags stay the image's 0/1 ints, which
+        # every reader of a set treats as booleans.
+        self._sets = [dict(rows) for rows in snapshot]
 
     # -- statistics ---------------------------------------------------------------
 

@@ -68,20 +68,15 @@ class MemoryHierarchy:
             latency += 4  # stall until an MSHR frees up (coarse model)
 
         prefetches = self.prefetcher.train(pc, line)
-        if self.l2.lookup(line, is_write=is_write):
-            latency += self.config.l2.hit_latency
-        else:
-            latency += self.config.l2.hit_latency
+        latency += self.config.l2.hit_latency
+        if not self.l2.lookup_or_fill(line, is_write):
             latency += self.dram.access(line, now)
-            self.l2.fill(line, is_write=is_write)
-        self.l1d.fill(line, is_write=is_write)
+        self.l1d.fill(line, is_write)
         self._outstanding_misses.append(now + latency)
 
         # Prefetches fill the L2 (distance-1, degree-8 stride prefetcher).
-        for prefetch_address in prefetches:
-            prefetch_line = self.l2.line_address(prefetch_address)
-            if not self.l2.probe(prefetch_line):
-                self.l2.fill(prefetch_line, is_prefetch=True)
+        if prefetches:
+            self.l2.prefetch(prefetches)
         return latency
 
     # -- functional warming (two-speed simulation) ----------------------------------
@@ -127,14 +122,11 @@ class MemoryHierarchy:
     def _warm_miss(self, pc: int, line: int, is_write: bool) -> None:
         """The rest of a timing-free access whose line missed in the L1D."""
         prefetches = self.prefetcher.train(pc, line)
-        if not self.l2.lookup(line, is_write=is_write):
+        if not self.l2.lookup_or_fill(line, is_write):
             self.dram.warm(line)
-            self.l2.fill(line, is_write=is_write)
-        self.l1d.fill(line, is_write=is_write)
-        for prefetch_address in prefetches:
-            prefetch_line = self.l2.line_address(prefetch_address)
-            if not self.l2.probe(prefetch_line):
-                self.l2.fill(prefetch_line, is_prefetch=True)
+        self.l1d.fill(line, is_write)
+        if prefetches:
+            self.l2.prefetch(prefetches)
 
     # -- instruction-side accesses ------------------------------------------------
 
@@ -143,12 +135,9 @@ class MemoryHierarchy:
         line = self.l1i.line_address(pc)
         if self.l1i.lookup(line):
             return self.config.l1i.hit_latency
-        latency = self.config.l1i.hit_latency
-        if self.l2.lookup(line):
-            latency += self.config.l2.hit_latency
-        else:
-            latency += self.config.l2.hit_latency + self.dram.access(line, now)
-            self.l2.fill(line)
+        latency = self.config.l1i.hit_latency + self.config.l2.hit_latency
+        if not self.l2.lookup_or_fill(line):
+            latency += self.dram.access(line, now)
         self.l1i.fill(line)
         return latency
 
@@ -176,43 +165,39 @@ class MemoryHierarchy:
 
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
-    def to_snapshot(self, now: int = 0) -> dict:
+    def to_snapshot(self, now: int = 0, warm: dict | None = None) -> dict:
         """Serialise cache tags/LRU/dirty state, DRAM rows and prefetcher training.
 
         Outstanding-miss (MSHR) completion times and DRAM bank-busy times
         are stored relative to ``now`` so a restored hierarchy can restart
         its cycle counter at zero.  Statistics are not part of the snapshot
         -- each detailed window accounts for its own events.
+
+        ``warm`` is the image of a functionally warmed hierarchy (see
+        :meth:`warm_load`), whose data side -- the L1D and L2 images, the
+        prefetcher training and the DRAM open rows -- is returned in place
+        of this hierarchy's own, which is then never serialised.  The
+        warming hooks have no per-op PC stream and no timing, so the L1I
+        contents, the outstanding-miss deltas and the DRAM bank-busy deltas
+        are always this hierarchy's.  The warm image is not copied: like
+        every snapshot, it is only ever copied out of.
         """
+        dram = self.dram.to_snapshot(now)
+        if warm is None:
+            l1d, l2 = self.l1d.to_snapshot(), self.l2.to_snapshot()
+            prefetcher = self.prefetcher.to_snapshot()
+        else:
+            l1d, l2, prefetcher = warm["l1d"], warm["l2"], warm["prefetcher"]
+            dram["open_rows"] = warm["dram"]["open_rows"]
         return {
             "l1i": self.l1i.to_snapshot(),
-            "l1d": self.l1d.to_snapshot(),
-            "l2": self.l2.to_snapshot(),
-            "dram": self.dram.to_snapshot(now),
-            "prefetcher": self.prefetcher.to_snapshot(),
+            "l1d": l1d,
+            "l2": l2,
+            "dram": dram,
+            "prefetcher": prefetcher,
             "outstanding_in": sorted(t - now for t in self._outstanding_misses
                                      if t > now),
         }
-
-    @staticmethod
-    def merge_warm_snapshot(warm: dict, own: dict) -> dict:
-        """Combine a functionally warmed snapshot with a core's own snapshot.
-
-        The warming hooks train the *data* side (L1D/L2 tags, prefetcher,
-        DRAM open rows) but have no per-op PC stream and no timing, so the
-        L1I contents, the MSHR completion deltas and the DRAM bank-busy
-        deltas come from ``own`` -- the core's chained snapshot.  Lives
-        here so knowledge of :meth:`to_snapshot`'s layout stays in one
-        module; neither input is mutated.
-        """
-        merged = dict(warm)
-        merged["l1i"] = own["l1i"]
-        merged["outstanding_in"] = own["outstanding_in"]
-        merged["dram"] = {
-            "open_rows": warm["dram"]["open_rows"],
-            "bank_busy_in": own["dram"]["bank_busy_in"],
-        }
-        return merged
 
     def restore_snapshot(self, snapshot: dict, now: int = 0) -> None:
         """Restore a :meth:`to_snapshot` image, rebasing timed state onto ``now``."""

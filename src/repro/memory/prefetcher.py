@@ -35,13 +35,10 @@ class StridePrefetcher:
         self.prefetches_issued = 0
         self.trainings = 0
 
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) % self.table_entries
-
     def train(self, pc: int, address: int) -> list[int]:
         """Observe a demand access and return the list of addresses to prefetch."""
         self.trainings += 1
-        index = self._index(pc)
+        index = (pc >> 2) % self.table_entries
         entry = self._table.get(index)
         if entry is None:
             self._table[index] = _StrideEntry(last_address=address)

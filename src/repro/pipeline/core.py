@@ -27,6 +27,7 @@ Instruction Distance predictor at commit through the
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.backend.inflight import InflightOp
 from repro.backend.lsq import ForwardingState, LoadStoreQueue
@@ -50,6 +51,9 @@ from repro.rename.maps import CommitRenameMap, FreeList, RenameMap
 from repro.rename.renamer import ProducerInfo, Renamer
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import PipelineTracer
+
+if TYPE_CHECKING:  # the sampling module imports this one
+    from repro.pipeline.sampling import WarmState
 
 _NEVER = 1 << 60
 _MASK64 = (1 << 64) - 1
@@ -966,7 +970,7 @@ class Core:
 
     # --------------------------------------------------------- snapshot/restore --
 
-    def snapshot(self) -> CoreSnapshot:
+    def snapshot(self, warm: WarmState | None = None) -> CoreSnapshot:
         """Capture the warm micro-architectural state after a completed run.
 
         Only valid with the pipeline drained (i.e. right after :meth:`run`
@@ -974,6 +978,12 @@ class Core:
         register liveness depends on retained ROB entries, which are not
         part of the snapshot; see :mod:`repro.pipeline.snapshot` for the
         full list of invariants.
+
+        With ``warm`` -- a sampled plan's functionally warmed image of the
+        next stretch's start -- the snapshot is the state that stretch
+        resumes from: the BTB, RAS, history and path registers and the
+        warmed data side of the memory hierarchy are ``warm``'s, and only
+        the scheme-local rest is captured from this core.
         """
         if self.rob.head() is not None or self.frontend_queue or len(self.iq) \
                 or self.execution_wheel or self.pending_redirect is not None:
@@ -987,22 +997,29 @@ class Core:
                     and entry.old_preg >= 0 and entry.old_preg != entry.dest_preg:
                 self._reclaim_register(entry.old_preg, entry.op.dest_flat, entry.seq)
         config = self.config
+        if warm is None:
+            btb, ras = self.btb.to_snapshot(), self.ras.to_snapshot()
+            history, path = self.history.value, self.path.value
+            memory = self.memory.to_snapshot(self.cycle)
+        else:
+            btb, ras, history, path = warm.btb, warm.ras, warm.history, warm.path
+            memory = self.memory.to_snapshot(self.cycle, warm.memory)
         return CoreSnapshot(
             variant=config.variant_name(),
             num_int_pregs=config.num_int_pregs,
             num_fp_pregs=config.num_fp_pregs,
             next_csn=self._csn_base + self.committed,
             branch_predictor=self.branch_predictor.to_snapshot(),
-            btb=self.btb.to_snapshot(),
-            ras=self.ras.to_snapshot(),
-            history=self.history.value,
-            path=self.path.value,
+            btb=btb,
+            ras=ras,
+            history=history,
+            path=path,
             rename_map=self.commit_map.to_snapshot(),
             int_free=self.int_free.to_snapshot(),
             fp_free=self.fp_free.to_snapshot(),
             tracker=self.tracker.to_snapshot(),
             store_sets=self.store_sets.to_snapshot(),
-            memory=self.memory.to_snapshot(self.cycle),
+            memory=memory,
             smb=self.smb_engine.to_snapshot(),
         )
 

@@ -87,7 +87,6 @@ Error-budget mode instead asks for an accuracy, not a geometry::
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -101,7 +100,6 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import Core
 from repro.pipeline.result import SimulationResult
-from repro.pipeline.snapshot import CoreSnapshot
 from repro.telemetry.metrics import SAMPLING_STOP_REASONS, MetricsRegistry
 
 
@@ -233,38 +231,15 @@ def _aggregate_stats(window_results: list[SimulationResult]) -> dict[str, float]
     return totals
 
 
-def _resume_with_warm_state(snap: CoreSnapshot | None,
-                            warm: "WarmState") -> CoreSnapshot | None:
-    """Merge a plan's boundary warm image into a scheme's chained snapshot.
-
-    The first stretch resumes from nothing (a cold core); later stretches
-    resume from the scheme's own snapshot with the functionally warmed
-    structures substituted in.
-    """
-    if snap is None:
-        return None
-    # The L1I contents and the MSHR / DRAM bank-busy timing deltas are
-    # scheme-local (products of the scheme's own detailed windows) and
-    # chain through the scheme's snapshot; the warmed data side comes from
-    # the plan.  The split lives with the snapshot layout it depends on.
-    return dataclasses.replace(
-        snap,
-        memory=MemoryHierarchy.merge_warm_snapshot(warm.memory, snap.memory),
-        btb=warm.btb,
-        ras=warm.ras,
-        history=warm.history,
-        path=warm.path,
-    )
-
-
 @dataclass(frozen=True)
 class WarmState:
     """Image of the functionally warmed structures at a stretch boundary.
 
     A pure value: captured once per detailed stretch during planning and
-    merged (via :func:`_resume_with_warm_state`) into every scheme's resume
-    snapshot, so it must never be mutated -- every ``restore_snapshot``
-    implementation copies out of its snapshot rather than aliasing it.
+    handed to every scheme's :meth:`Core.snapshot` at the boundary, which
+    takes these structures from it instead of capturing the core's own, so
+    it must never be mutated -- every ``restore_snapshot`` implementation
+    copies out of its snapshot rather than aliasing it.
     """
 
     memory: dict
@@ -761,10 +736,11 @@ def _run_stretches(
 
     for number, stretch in enumerate(stretches):
         trace = stretch.trace
-        # Each stretch after the first resumes from the state the previous
-        # one left; nothing reads the state after the last.
-        snap = core.snapshot() if number else None
-        resume = _resume_with_warm_state(snap, stretch.warm)
+        # The first stretch starts cold.  Each later one resumes from the
+        # scheme-local state the previous one left, with the plan's warm
+        # image in place of the functionally warmed structures; nothing
+        # reads the state after the last.
+        resume = core.snapshot(stretch.warm) if number else None
         if not stretch.measure_ops:  # halted inside the warmup
             warmup_ops += len(trace)
             tail_result = core.run(trace, resume=resume)

@@ -17,6 +17,16 @@ windows (the two-speed engine of :mod:`repro.pipeline.sampling`):
   the commit-side CSN table, plus the running commit sequence number so
   CSNs stay monotonic across windows.
 
+A sampled run chains one capture per stretch boundary,
+``Core.snapshot(warm)``: the BTB, RAS, history and path registers and the
+L1D, L2, prefetcher and DRAM open-row images are taken as they are from
+the plan's functionally warmed image (a
+:class:`~repro.pipeline.sampling.WarmState`), and only the scheme-local
+rest -- TAGE, rename state, tracker, Store Sets, SMB, the commit sequence
+base, the L1I and the outstanding-miss and bank-busy deltas -- is captured
+from the core.  ``Core.snapshot()`` captures everything; the digest tests
+compare against it.
+
 Snapshot invariants (enforced by :meth:`repro.pipeline.core.Core.snapshot`
 and documented in DESIGN.md):
 

@@ -13,6 +13,8 @@ the bank is busy, clamped at 185.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.memory.cache import CacheConfig, SetAssociativeCache
@@ -250,3 +252,140 @@ def test_hierarchy_snapshot_rebases_timed_state():
         t - 100 for t in hierarchy._outstanding_misses]
     assert restored.l1d.probe(0)
     assert restored.access_data(0, False, pc=0x100, now=0) == 4
+
+
+# ---------------------------------------------------------------------------
+# The L1-miss paths against their lookup / fill / probe reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_prefetch(l2: SetAssociativeCache, prefetches: list[int]) -> None:
+    for address in prefetches:
+        line = l2.line_address(address)
+        if not l2.probe(line):
+            l2.fill(line)
+            l2.prefetch_fills += 1
+
+
+def _reference_access_data(hierarchy: MemoryHierarchy, address: int,
+                           is_write: bool, pc: int, now: int) -> int:
+    """``access_data`` as separate lookup, fill and per-line probe calls."""
+    config = hierarchy.config
+    hierarchy.demand_accesses += 1
+    line = hierarchy.l1d.line_address(address)
+    latency = config.l1d.hit_latency
+    if hierarchy.l1d.lookup(line, is_write=is_write):
+        return latency
+    hierarchy._retire_outstanding(now)
+    if len(hierarchy._outstanding_misses) >= config.l1d.mshrs:
+        hierarchy.mshr_full_events += 1
+        latency += 4
+    prefetches = hierarchy.prefetcher.train(pc, line)
+    if hierarchy.l2.lookup(line, is_write=is_write):
+        latency += config.l2.hit_latency
+    else:
+        latency += config.l2.hit_latency + hierarchy.dram.access(line, now)
+        hierarchy.l2.fill(line, is_write=is_write)
+    hierarchy.l1d.fill(line, is_write=is_write)
+    hierarchy._outstanding_misses.append(now + latency)
+    _reference_prefetch(hierarchy.l2, prefetches)
+    return latency
+
+
+def _reference_warm(hierarchy: MemoryHierarchy, pc: int, address: int,
+                    is_write: bool) -> None:
+    """``warm_load`` / ``warm_store`` as separate lookup, fill and probe calls."""
+    line = hierarchy.l1d.line_address(address)
+    if hierarchy.l1d.lookup(line, is_write=is_write):
+        return
+    prefetches = hierarchy.prefetcher.train(pc, line)
+    if not hierarchy.l2.lookup(line, is_write=is_write):
+        hierarchy.dram.warm(line)
+        hierarchy.l2.fill(line, is_write=is_write)
+    hierarchy.l1d.fill(line, is_write=is_write)
+    _reference_prefetch(hierarchy.l2, prefetches)
+
+
+def _reference_access_instruction(hierarchy: MemoryHierarchy, pc: int,
+                                  now: int) -> int:
+    config = hierarchy.config
+    line = hierarchy.l1i.line_address(pc)
+    if hierarchy.l1i.lookup(line):
+        return config.l1i.hit_latency
+    latency = config.l1i.hit_latency + config.l2.hit_latency
+    if not hierarchy.l2.lookup(line):
+        latency += hierarchy.dram.access(line, now)
+        hierarchy.l2.fill(line)
+    hierarchy.l1i.fill(line)
+    return latency
+
+
+def test_miss_paths_match_separate_lookup_fill_and_probe_calls():
+    """``lookup_or_fill`` and ``prefetch`` leave every structure as before.
+
+    Two small hierarchies run one seeded stream of timed and warmed data
+    accesses and instruction fetches: one through the hierarchy's own
+    methods, one through the reference sequences above.  Halfway, each is
+    restored from its own image, so the rest runs on the image's 0/1
+    dirty flags.
+    """
+    def small(name: str, size: int, ways: int, hit: int) -> CacheConfig:
+        return CacheConfig(name=name, size_bytes=size, ways=ways,
+                           hit_latency=hit, mshrs=2)
+
+    config = HierarchyConfig(l1i=small("L1I", 512, 2, 1),
+                             l1d=small("L1D", 512, 2, 4),
+                             l2=small("L2", 2048, 4, 12))
+    hierarchy, reference = MemoryHierarchy(config), MemoryHierarchy(config)
+    rng = random.Random(7)
+    strided = {0x400: 0, 0x404: 1 << 16}        # pc -> next address
+    latencies, reference_latencies = [], []
+    now = 0
+    for step in range(4_000):
+        if step == 2_000:
+            for side in (hierarchy, reference):
+                side.restore_snapshot(side.to_snapshot(now), now)
+        now += rng.randrange(40)
+        kind = rng.random()
+        if kind < 0.1:
+            pc = rng.randrange(0, 4096, 4)
+            latencies.append(hierarchy.access_instruction(pc, now))
+            reference_latencies.append(
+                _reference_access_instruction(reference, pc, now))
+            continue
+        if kind < 0.45:
+            pc = rng.choice(sorted(strided))
+            address = strided[pc]
+            strided[pc] += 64 if pc == 0x400 else 128
+        elif kind < 0.8:
+            pc, address = 0x500, rng.randrange(1024)
+        else:
+            pc, address = 0x600, rng.randrange(1 << 20)
+        is_write = rng.random() < 0.3
+        if rng.random() < 0.5:
+            latencies.append(hierarchy.access_data(address, is_write, pc, now))
+            reference_latencies.append(
+                _reference_access_data(reference, address, is_write, pc, now))
+        else:
+            (hierarchy.warm_store if is_write else hierarchy.warm_load)(pc, address)
+            _reference_warm(reference, pc, address, is_write)
+
+    assert latencies == reference_latencies
+    for name in ("l1i", "l1d", "l2"):
+        cache, expected = getattr(hierarchy, name), getattr(reference, name)
+        assert cache.to_snapshot() == expected.to_snapshot(), name
+        for counter in ("hits", "misses", "evictions", "writebacks",
+                        "prefetch_fills"):
+            assert getattr(cache, counter) == getattr(expected, counter), \
+                (name, counter)
+    assert hierarchy.prefetcher.to_snapshot() == reference.prefetcher.to_snapshot()
+    assert hierarchy.dram.to_snapshot(now) == reference.dram.to_snapshot(now)
+    assert hierarchy.to_snapshot(now) == reference.to_snapshot(now)
+    assert hierarchy.stats() == reference.stats()
+    # The stream reached every case: hits, clean and dirty evictions, and
+    # prefetch bursts that found some of their lines already present.
+    l2 = hierarchy.l2
+    assert hierarchy.l1d.hits and l2.hits
+    assert 0 < l2.writebacks < l2.evictions
+    assert 0 < l2.prefetch_fills < hierarchy.prefetcher.prefetches_issued
+    assert hierarchy.mshr_full_events

@@ -6,6 +6,9 @@ The load-bearing contracts:
   architectural state and call the warming hooks alike, and ``record``
   produces micro-ops field-identical to an uninterrupted
   :class:`Executor` run (``golden/trace_digests.json`` pins that run);
+* the capture a sampled run chains at each stretch boundary equals the
+  full core snapshot with the plan's warm image swapped in, and copies no
+  warmed structure;
 * the sampled driver retires exactly ``max_ops`` micro-ops, reports the
   sampling statistics, and is fully deterministic;
 * the CLI flags reach the sampled path.
@@ -14,11 +17,13 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import pytest
 
 from repro.experiments.cli import main as cli_main
+from repro.experiments.grid import known_schemes, scheme_config
 from repro.isa.executor import ExecutionLimitExceeded, Executor
 from repro.isa.functional import FunctionalCore
 from repro.isa.opcodes import Opcode
@@ -253,6 +258,106 @@ def test_core_snapshot_rejects_mismatched_machine():
     other = Core(CoreConfig().with_tracker("refcount", entries=None))
     with pytest.raises(ValueError, match="cannot be restored"):
         other.run(trace, resume=snapshot)
+
+
+#: The benchmark's sampled stretch (window 800, warmup 250, cooldown 150)
+#: every 25k ops, on runs short enough for four stretches, so three
+#: captures chain.  long_phase_mix is a benchmark trace; fp_moves ends its
+#: first stretch with DRAM banks busy and L1D misses outstanding, which the
+#: warm image never has.
+CAPTURE_SAMPLING = SamplingConfig(period=25_000, window=800, warmup=250,
+                                  cooldown=150)
+CAPTURE_WORKLOADS = ("long_phase_mix", "fp_moves")
+CAPTURE_MACHINES = {scheme: scheme_config(scheme) for scheme in known_schemes()}
+CAPTURE_MACHINES["isrb_lazy_reclaim"] = scheme_config("isrb").replace(
+    lazy_reclaim=True)
+
+
+@pytest.fixture(scope="module")
+def capture_plans():
+    simulator = SampledSimulator(CoreConfig(), CAPTURE_SAMPLING)
+    return [simulator.plan(build_workload(name, seed=1), name, 100_000)
+            for name in CAPTURE_WORKLOADS]
+
+
+def _with_warm_image(snapshot, warm):
+    """A full snapshot with the functionally warmed structures swapped in.
+
+    The BTB, RAS, history, path and the L1D, L2, prefetcher and DRAM
+    open-row images come from ``warm``; the L1I, the outstanding-miss
+    deltas and the DRAM bank-busy deltas stay the core's own.
+    """
+    own = snapshot.memory
+    memory = dict(warm.memory, l1i=own["l1i"],
+                  outstanding_in=own["outstanding_in"],
+                  dram={"open_rows": warm.memory["dram"]["open_rows"],
+                        "bank_busy_in": own["dram"]["bank_busy_in"]})
+    return dataclasses.replace(snapshot, btb=warm.btb, ras=warm.ras,
+                               history=warm.history, path=warm.path,
+                               memory=memory)
+
+
+@pytest.mark.parametrize("machine", sorted(CAPTURE_MACHINES))
+def test_chained_capture_equals_full_snapshot_with_warm_image(
+        capture_plans, machine, monkeypatch):
+    """What each later stretch resumes from, digest for digest.
+
+    At every stretch boundary the capture ``_run_stretches`` takes must
+    equal the full ``Core.snapshot()`` with the plan's warm image swapped
+    in.  The chained capture runs first, so it must do the lazy-reclaim
+    release walk itself.
+    """
+    full_snapshot = Core.snapshot
+    references = []
+
+    def checked(core, warm):
+        chained = full_snapshot(core, warm)
+        reference = _with_warm_image(full_snapshot(core), warm)
+        assert chained.digest() == reference.digest()
+        references.append(reference)
+        return chained
+
+    monkeypatch.setattr(Core, "snapshot", checked)
+    simulator = SampledSimulator(CAPTURE_MACHINES[machine], CAPTURE_SAMPLING)
+    for plan in capture_plans:
+        simulator.execute_plan(plan)
+    assert len(references) == sum(len(plan.stretches) - 1
+                                  for plan in capture_plans) == 6
+    # The warm image's L1I is empty and its timing deltas are zero: some
+    # boundary must differ from it in each, or taking them from the warm
+    # image would pass unnoticed.
+    assert any(any(ref.memory["l1i"]) for ref in references)
+    assert any(ref.memory["outstanding_in"] for ref in references)
+    assert any(any(ref.memory["dram"]["bank_busy_in"]) for ref in references)
+
+
+def test_chained_capture_allocates_few_containers(capture_plans, monkeypatch):
+    """The chained capture copies no warmed structure.
+
+    Counted as GC-tracked containers alive after each capture minus
+    before, with collection off in between.  Capturing the whole core
+    instead allocates thousands (the BTB alone is 2,048 set lists).
+    """
+    full_snapshot = Core.snapshot
+    allocated = []
+
+    def counted(core, *args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            snapshot = full_snapshot(core, *args)
+            allocated.append(len(gc.get_objects()) - before)
+        finally:
+            if enabled:
+                gc.enable()
+        return snapshot
+
+    monkeypatch.setattr(Core, "snapshot", counted)
+    SampledSimulator(scheme_config("isrb"), CAPTURE_SAMPLING).execute_plan(
+        capture_plans[0])
+    assert len(allocated) == 3
+    assert max(allocated) < 500, allocated
 
 
 # ---------------------------------------------------------------------------
