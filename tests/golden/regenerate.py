@@ -11,7 +11,9 @@ micro-op of the suite's traces and of :func:`every_opcode_program`'s run.  ``lon
 1M-op full-detail runs, and ``timing_references.json`` the timing and
 predictor counts of branch- and SMB-sensitive cells, so both change
 whenever the simulated machine does; CI recomputes them and diffs them
-against the committed files.
+against the committed files.  ``scheme_digests.json`` pins every
+statistic of full-detail runs of every scheme on every suite workload, so
+any change to the simulated machine moves it.
 """
 
 from __future__ import annotations
@@ -265,6 +267,58 @@ def compute_timing_references(seed: int = 1) -> dict:
             "sampled": TIMING_SAMPLED, "seed": seed, "cells": cells}
 
 
+#: Statistics that describe how the run loop skipped idle cycles, not the
+#: simulated machine: the only ones a result digest leaves out.
+STRATEGY_STATS = frozenset({"skipped_cycles", "events_per_cycle"})
+
+
+def scheme_machines() -> dict:
+    """The machines ``scheme_digests.json`` pins: the no-sharing baseline,
+    every scheme preset with ME and SMB on, and the ISRB preset with lazy
+    reclaim and bypassing from committed instructions."""
+    from repro.experiments.grid import known_schemes, scheme_config
+
+    machines = {name: scheme_config(name) for name in ("baseline", *known_schemes())}
+    machines["isrb_lazy"] = scheme_config("isrb").with_smb(bypass_from_committed=True)
+    return machines
+
+
+def result_digest(result) -> str:
+    """SHA-256 over a result's cycles, instructions and every statistic
+    except :data:`STRATEGY_STATS`."""
+    stats = {key: value for key, value in result.stats.items()
+             if key not in STRATEGY_STATS}
+    payload = json.dumps([result.cycles, result.instructions, stats], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def compute_scheme_digests(max_ops: int = 2_000, seed: int = 1) -> dict:
+    """Recompute every entry of ``scheme_digests.json``."""
+    from repro.pipeline.core import simulate_trace
+    from repro.workloads import generate_trace, list_workloads
+
+    machines = scheme_machines()
+    digests = {}
+    for workload in list_workloads():
+        trace = generate_trace(workload, max_ops=max_ops, seed=seed)
+        digests[workload] = {name: result_digest(simulate_trace(trace, config))
+                             for name, config in machines.items()}
+    machine_hashes = {name: hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+                      for name, config in machines.items()}
+    return {"machines": machine_hashes, "max_ops": max_ops, "seed": seed,
+            "digests": digests}
+
+
+def regenerate_scheme_digests(max_ops: int = 2_000, seed: int = 1) -> None:
+    """Pin the full detailed result of every machine of :func:`scheme_machines`
+    on every suite workload, which ``tests/test_differential.py`` checks."""
+    payload = compute_scheme_digests(max_ops, seed)
+    path = GOLDEN_DIR / "scheme_digests.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path} ({len(payload['digests'])} workloads x "
+          f"{len(payload['machines'])} machines)")
+
+
 def regenerate_timing_references(seed: int = 1) -> None:
     """Pin the cycles, instructions and predictor counters of short
     branch-, call- and SMB-heavy cells and of one sampled cell, which
@@ -281,3 +335,4 @@ if __name__ == "__main__":
     regenerate_sweep_snapshot()
     regenerate_long_references()
     regenerate_timing_references()
+    regenerate_scheme_digests()

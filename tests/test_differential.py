@@ -15,6 +15,7 @@ three directions:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -39,9 +40,12 @@ COMMIT_INVARIANT_STATS = ("committed_loads",)
 
 
 def _scheme_configs() -> dict[str, CoreConfig]:
-    """Baseline plus every tracker scheme at its preset sizing (ME + SMB on)."""
-    return {name: scheme_config(name)
-            for name in ("baseline", *known_schemes())}
+    """Baseline plus every tracker scheme at its preset sizing (ME + SMB on),
+    plus ISRB with lazy reclaim and bypassing from committed instructions."""
+    configs = {name: scheme_config(name)
+               for name in ("baseline", *known_schemes())}
+    configs["isrb_lazy"] = scheme_config("isrb").with_smb(bypass_from_committed=True)
+    return configs
 
 
 def _final_digest(workload: str) -> str:
@@ -58,12 +62,34 @@ def golden_digests() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+#: Digests of every machine's full detailed result on every suite workload,
+#: written by ``regenerate_scheme_digests``.
+SCHEME_DIGESTS_PATH = Path(__file__).parent / "golden" / "scheme_digests.json"
+
+
+@pytest.fixture(scope="module")
+def scheme_digests() -> dict:
+    pinned = json.loads(SCHEME_DIGESTS_PATH.read_text())
+    assert (pinned["max_ops"], pinned["seed"]) == (MAX_OPS, SEED)
+    machines = {name: hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+                for name, config in _scheme_configs().items()}
+    assert pinned["machines"] == machines, (
+        "scheme_digests.json was pinned on other machines")
+    return pinned["digests"]
+
+
 @pytest.mark.parametrize("workload", list_workloads())
-def test_all_schemes_commit_identical_state(workload):
-    """Every scheme commits the full trace with identical commit-side counts."""
+def test_all_schemes_commit_identical_state(workload, scheme_digests,
+                                            golden_regenerate):
+    """Every scheme commits the full trace with identical commit-side counts,
+    and every scheme's cycles and statistics equal the pinned digest."""
     trace = generate_trace(workload, max_ops=MAX_OPS, seed=SEED)
     results = {name: simulate_trace(trace, config)
                for name, config in _scheme_configs().items()}
+    digests = {name: golden_regenerate.result_digest(result)
+               for name, result in results.items()}
+    assert digests == scheme_digests[workload], (
+        f"{workload}: a detailed result moved from scheme_digests.json")
 
     reference = results["baseline"]
     assert reference.instructions == len(trace)
