@@ -86,20 +86,6 @@ class InflightOp:
         """``True`` when the destination mapping references a shared register."""
         return self.eliminated or self.bypassed
 
-    def overlaps(self, other: "InflightOp") -> bool:
-        """Do the memory footprints of two micro-ops overlap?"""
-        if self.mem_addr is None or other.mem_addr is None:
-            return False
-        return (self.mem_addr < other.mem_addr + other.mem_size
-                and other.mem_addr < self.mem_addr + self.mem_size)
-
-    def covers(self, other: "InflightOp") -> bool:
-        """Does this micro-op's footprint fully contain ``other``'s?"""
-        if self.mem_addr is None or other.mem_addr is None:
-            return False
-        return (self.mem_addr <= other.mem_addr
-                and other.mem_addr + other.mem_size <= self.mem_addr + self.mem_size)
-
     def __repr__(self) -> str:
         return (f"InflightOp(seq={self.seq}, {self.op.opcode.value}, "
                 f"issued={self.issued}, completed={self.completed})")

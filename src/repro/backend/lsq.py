@@ -16,6 +16,7 @@ commit stage.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 
 from repro.backend.inflight import InflightOp
@@ -48,8 +49,8 @@ class LoadStoreQueue:
             raise ValueError("load/store queue capacities must be >= 1")
         self.lq_capacity = lq_capacity
         self.sq_capacity = sq_capacity
-        self._loads: list[InflightOp] = []
-        self._stores: list[InflightOp] = []
+        self._loads: deque[InflightOp] = deque()
+        self._stores: deque[InflightOp] = deque()
         self.peak_lq = 0
         self.peak_sq = 0
 
@@ -88,12 +89,16 @@ class LoadStoreQueue:
         else:
             raise ValueError("only loads and stores belong in the LSQ")
 
-    def remove_committed(self, entry: InflightOp) -> None:
-        """Remove a load/store when it commits."""
-        if entry.is_load and entry in self._loads:
-            self._loads.remove(entry)
-        elif entry.is_store and entry in self._stores:
-            self._stores.remove(entry)
+    def retire(self, loads: int, stores: int) -> None:
+        """Remove the ``loads`` oldest loads and ``stores`` oldest stores.
+
+        Commit is in program order, so a committing load or store is always
+        the oldest in its queue.
+        """
+        for _ in range(loads):
+            self._loads.popleft()
+        for _ in range(stores):
+            self._stores.popleft()
 
     def squash_all(self) -> None:
         """Empty both queues (commit-stage flush)."""
@@ -105,14 +110,19 @@ class LoadStoreQueue:
     def forwarding_for(self, load: InflightOp) -> ForwardingDecision:
         """Classify the youngest older store overlapping ``load``."""
         best: InflightOp | None = None
-        for store in self._stores:
-            if store.seq >= load.seq:
-                break
-            if store.overlaps(load):
-                best = store
+        address = load.mem_addr
+        if address is not None:
+            seq = load.seq
+            end = address + load.mem_size
+            for store in self._stores:
+                if store.seq >= seq:
+                    break
+                start = store.mem_addr
+                if start is not None and start < end and address < start + store.mem_size:
+                    best = store
         if best is None:
             return ForwardingDecision(ForwardingState.NO_CONFLICT)
-        if best.covers(load):
+        if best.mem_addr <= address and end <= best.mem_addr + best.mem_size:
             if best.issued and best.completed:
                 return ForwardingDecision(ForwardingState.FORWARD, best)
             return ForwardingDecision(ForwardingState.STORE_NOT_READY, best)
@@ -126,24 +136,32 @@ class LoadStoreQueue:
         read stale data and must trap at commit.
         """
         violators: list[InflightOp] = []
+        start = store.mem_addr
+        if start is None:
+            return violators
+        seq = store.seq
+        end = start + store.mem_size
         for load in self._loads:
-            if load.seq <= store.seq:
+            if load.seq <= seq or not load.issued:
                 continue
-            if not load.issued:
-                continue
-            if not store.overlaps(load):
+            address = load.mem_addr
+            if address is None or not (start < address + load.mem_size and address < end):
                 continue
             if load.stlf_forwarded and load.issue_cycle >= store.complete_cycle >= 0:
                 continue
             violators.append(load)
         return violators
 
-    def loads(self) -> list[InflightOp]:
-        """The loads currently in the queue, oldest first."""
+    def loads(self) -> deque[InflightOp]:
+        """The loads in the queue, oldest first (the queue's own storage).
+
+        Callers must not mutate it; a squash empties it in place, so a
+        reference stays current.
+        """
         return self._loads
 
-    def stores(self) -> list[InflightOp]:
-        """The stores currently in the queue, oldest first."""
+    def stores(self) -> deque[InflightOp]:
+        """The stores in the queue, oldest first (see :meth:`loads`)."""
         return self._stores
 
     def __repr__(self) -> str:

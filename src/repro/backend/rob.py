@@ -46,10 +46,6 @@ class ReorderBuffer:
         """Entries currently holding state (in-flight plus retained committed ones)."""
         return len(self._inflight) + len(self._retained)
 
-    def is_full(self) -> bool:
-        """``True`` when no new instruction can be dispatched."""
-        return len(self._inflight) + len(self._retained) >= self.capacity
-
     def free_slots(self) -> int:
         """Number of instructions that can still be dispatched."""
         return self.capacity - len(self._inflight) - len(self._retained)
@@ -74,19 +70,31 @@ class ReorderBuffer:
         """The oldest in-flight instruction (``None`` when the window is empty)."""
         return self._inflight[0] if self._inflight else None
 
-    def pop_head(self) -> InflightOp:
-        """Commit the oldest instruction.
+    def window(self) -> deque[InflightOp]:
+        """The in-flight instructions, oldest first (the ROB's own storage).
 
-        With lazy reclaim the entry is *retained*: it keeps occupying ROB
-        space and stays reachable for SMB until :meth:`pop_retained`
-        releases it.
+        Exposed for the commit stage, which reads the head from it; callers
+        must not mutate it -- they commit with :meth:`retire`.  A squash
+        empties it in place, so a reference stays current.
         """
-        entry = self._inflight.popleft()
+        return self._inflight
+
+    def retire(self, count: int) -> None:
+        """Commit the ``count`` oldest instructions.
+
+        With lazy reclaim the entries are *retained*: they keep occupying
+        ROB space and stay reachable for SMB until :meth:`pop_retained`
+        releases them.
+        """
+        inflight = self._inflight
         if self.lazy_reclaim:
-            self._retained.append(entry)
+            retained = self._retained
+            for _ in range(count):
+                retained.append(inflight.popleft())
         else:
-            del self._by_seq[entry.seq]
-        return entry
+            by_seq = self._by_seq
+            for _ in range(count):
+                del by_seq[inflight.popleft().seq]
 
     def pop_retained(self) -> InflightOp | None:
         """Release the oldest retained committed entry (lazy reclaim walk)."""

@@ -5,17 +5,18 @@ feeding: four 1-cycle ALUs, one non-pipelined integer multiply/divide unit
 (3 / 25 cycles), two 3-cycle FP units, two non-pipelined FP multiply/divide
 units (5 / 10 cycles), two load ports and one store port.
 
-The issue queue holds dispatched instructions oldest first; the core
-model's issue stage scans it each cycle and selects ready instructions
-subject to the issue width, operand readiness, memory-dependence
-constraints and functional unit availability.
+The issue queue only counts its occupancy: the core model's issue stage
+selects oldest first from an event-driven ready list -- an instruction
+joins it when its last source operand writes back, and a load that waits
+on an older store joins it again when that store writes back -- subject
+to the issue width, memory-dependence constraints and functional unit
+availability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.inflight import InflightOp
 from repro.isa.opcodes import OpClass
 
 
@@ -48,12 +49,12 @@ class FunctionalUnitPool:
 
     def can_accept(self, cycle: int) -> bool:
         """Can one more operation start on this pool at ``cycle``?"""
-        self._roll_cycle(cycle)
+        if cycle != self._current_cycle:
+            self._current_cycle = cycle
+            self._issued_this_cycle = 0
         if self._issued_this_cycle >= self.count:
             return False
-        if self.pipelined:
-            return True
-        return any(busy <= cycle for busy in self._busy_until)
+        return self.pipelined or min(self._busy_until) <= cycle
 
     def next_free_cycle(self, cycle: int) -> int:
         """Earliest cycle >= ``cycle`` at which one more operation could start.
@@ -75,7 +76,6 @@ class FunctionalUnitPool:
 
     def accept(self, cycle: int, latency: int) -> None:
         """Reserve a unit for an operation of the given latency starting at ``cycle``."""
-        self._roll_cycle(cycle)
         if not self.can_accept(cycle):
             raise RuntimeError(f"functional unit pool {self.name!r} cannot accept at {cycle}")
         self._issued_this_cycle += 1
@@ -126,88 +126,43 @@ class FunctionalUnits:
 
 
 class IssueQueue:
-    """A unified, age-ordered issue queue.
+    """A unified issue queue, modelled by its occupancy.
 
-    Occupancy is tracked by a live-entry counter (``_live``) rather than
-    the backing list's length: the core's event-driven scheduler accounts
-    for selections with :meth:`note_issued` and already-issued entries
-    linger in the list until an amortized compaction, so no per-cycle
-    rebuild of the whole queue is needed.  Every accessor that exposes the
-    entries themselves compacts first, preserving the historical "live
-    entries, oldest first" contract.
+    The core's scheduler holds the queued instructions themselves in its
+    wakeup lists; the queue counts what was dispatched into it and issued
+    out of it, which is all the rename stage's capacity check and the
+    ``iq_peak_occupancy`` statistic need.
     """
 
-    __slots__ = ("capacity", "_entries", "_live", "peak_occupancy", "issued_total")
+    __slots__ = ("capacity", "occupancy", "peak_occupancy")
 
     def __init__(self, capacity: int = 60) -> None:
         if capacity < 1:
             raise ValueError("issue queue capacity must be >= 1")
         self.capacity = capacity
-        self._entries: list[InflightOp] = []
-        self._live = 0
+        #: Instructions dispatched and not yet issued.
+        self.occupancy = 0
         self.peak_occupancy = 0
-        self.issued_total = 0
 
     def __len__(self) -> int:
-        return self._live
+        return self.occupancy
 
-    def is_full(self) -> bool:
-        """``True`` when no instruction can be dispatched into the queue."""
-        return self._live >= self.capacity
-
-    def free_slots(self) -> int:
-        """Number of instructions that can still be dispatched."""
-        return self.capacity - self._live
-
-    def add(self, entry: InflightOp) -> None:
-        """Dispatch an instruction into the queue."""
-        if self._live >= self.capacity:
+    def note_dispatched(self, dispatched: int) -> None:
+        """Account for ``dispatched`` instructions entering the queue."""
+        occupancy = self.occupancy + dispatched
+        if occupancy > self.capacity:
             raise OverflowError("issue queue is full")
-        self._entries.append(entry)
-        self._live += 1
-        if self._live > self.peak_occupancy:
-            self.peak_occupancy = self._live
-
-    def _compact(self) -> None:
-        self._entries = [entry for entry in self._entries if not entry.issued]
-
-    def entries(self) -> list[InflightOp]:
-        """The queued instructions, oldest first (the queue's own storage).
-
-        Exposed for the pipeline's inlined issue scan; callers must not
-        mutate the list directly -- they account for the entries they
-        issued with :meth:`note_issued`.
-        """
-        if self._live != len(self._entries):
-            self._compact()
-        return self._entries
+        self.occupancy = occupancy
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
 
     def note_issued(self, issued: int) -> None:
-        """Account for entries an external scheduler issued out of the queue.
-
-        The issued entries stay in the backing list until more than half of
-        it is stale, when one compaction pass drops them -- amortized O(1)
-        per issue instead of a full rebuild per issuing cycle.
-        """
-        self._live -= issued
-        self.issued_total += issued
-        stale = len(self._entries) - self._live
-        if stale > self._live:
-            self._compact()
-
-    def remove(self, entries: list[InflightOp]) -> None:
-        """Remove specific entries (used when squashing)."""
-        if not entries:
-            return
-        doomed = set(id(entry) for entry in entries)
-        self._entries = [entry for entry in self.entries()
-                         if id(entry) not in doomed]
-        self._live = len(self._entries)
+        """Account for ``issued`` instructions leaving the queue."""
+        self.occupancy -= issued
 
     def clear(self) -> None:
         """Empty the queue (commit-stage flush)."""
-        self._entries.clear()
-        self._live = 0
+        self.occupancy = 0
 
     def __repr__(self) -> str:
-        return f"IssueQueue(capacity={self.capacity}, occupancy={self._live})"
+        return f"IssueQueue(capacity={self.capacity}, occupancy={self.occupancy})"

@@ -22,9 +22,10 @@ Each tagged component keeps its state in four flat lists indexed by entry
 (tag, counter, useful, valid) rather than one object per entry: every
 :class:`~repro.pipeline.core.Core` builds a fresh predictor, so per-entry
 objects would hand thousands of containers to the garbage collector per
-core, and a snapshot would copy them one by one.  Index and tag widths and
-each component's history mask are fixed at construction, so a lookup reads
-the history and path registers once.
+core, and a snapshot would copy them one by one.  A lookup takes every
+component's index and tag from the geometry's process-wide
+:class:`~repro.common.hashing.HashMemo` with one probe, and hashes only
+when the memo misses.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.common.hashing import mix_hash, tag_hash
+from repro.common.hashing import hash_memo
 from repro.common.history import PathHistory, ShiftHistory
 
 
@@ -108,14 +109,10 @@ class TageBranchPredictor:
         self._counter_max = (1 << config.counter_bits) - 1
         self._counter_weakly_taken = half
         self._useful_max = (1 << config.useful_bits) - 1
-        self._path_mask = (1 << config.path_bits) - 1
-        # (history mask, history bits, index bits, tag bits) per component.
-        # History registers never hold bits above their own length, so the
-        # unclamped mask reads exactly the bits a clamped one would.
-        self._geometry = tuple(
-            ((1 << component.history_bits) - 1, component.history_bits,
-             component.entries.bit_length() - 1, component.tag_bits)
-            for component in config.components)
+        self._memo = hash_memo(
+            tuple((component.history_bits, component.entries.bit_length() - 1,
+                   component.tag_bits) for component in config.components),
+            config.path_bits)
         self._base = [half] * config.base_entries
         entries = [component.entries for component in config.components]
         self._tags = [[0] * count for count in entries]
@@ -128,21 +125,18 @@ class TageBranchPredictor:
 
     def predict(self, pc: int, history: ShiftHistory, path: PathHistory) -> TagePrediction:
         """Predict the direction of the conditional branch at ``pc``."""
-        history_value = history.value
-        path_value = path.value & self._path_mask
-        path_bits = self.config.path_bits
+        memo = self._memo
+        key = (pc & memo.pc_mask, history.value & memo.history_mask,
+               path.value & memo.path_mask)
+        hashes = memo.table.get(key)
+        if hashes is None:
+            hashes = memo.fill(key)
+        indices, tags = hashes
         valid = self._valid
         entry_tags = self._tags
-        indices: list[int] = []
-        tags: list[int] = []
         provider = alt_provider = -1
-        for comp_id, (mask, history_bits, index_bits, tag_bits) in enumerate(self._geometry):
-            folded = history_value & mask
-            index = mix_hash(pc, folded, history_bits, path_value, path_bits, index_bits)
-            tag = tag_hash(pc, folded, history_bits, tag_bits)
-            indices.append(index)
-            tags.append(tag)
-            if valid[comp_id][index] and entry_tags[comp_id][index] == tag:
+        for comp_id, index in enumerate(indices):
+            if valid[comp_id][index] and entry_tags[comp_id][index] == tags[comp_id]:
                 alt_provider = provider
                 provider = comp_id
 
@@ -171,7 +165,7 @@ class TageBranchPredictor:
             weak = base_counter == weakly_taken or base_counter == weakly_taken - 1
 
         return TagePrediction(taken, provider, provider_index, alt_taken, alt_provider,
-                              alt_index, base_index, tuple(indices), tuple(tags), weak)
+                              alt_index, base_index, indices, tags, weak)
 
     # -- update -------------------------------------------------------------------
 

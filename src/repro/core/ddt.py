@@ -40,6 +40,14 @@ class CommitCsnTable:
         """CSN of the last committed definition of ``arch_flat`` (``None`` if never defined)."""
         return self._csn[arch_flat]
 
+    def raw(self) -> list[int | None]:
+        """The underlying CSN list (flat architectural index -> CSN).
+
+        The commit stage writes the CSN of a register-writing instruction
+        that is not a load straight into it; restores update it in place.
+        """
+        return self._csn
+
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
     def to_snapshot(self) -> list:
@@ -50,7 +58,7 @@ class CommitCsnTable:
         """Overwrite the CSNs with a :meth:`to_snapshot` image."""
         if len(snapshot) != self.num_arch_regs:
             raise ValueError("CSN table snapshot size does not match this table")
-        self._csn = list(snapshot)
+        self._csn[:] = snapshot
 
 
 @dataclass(frozen=True)
@@ -81,11 +89,6 @@ class DataDependencyTable:
         self._unlimited: dict[int, int] = {}
         # Limited: index -> (tag, csn).
         self._table: dict[int, tuple[int, int]] = {}
-        self.updates = 0
-        self.lookups = 0
-        self.hits = 0
-        self.tag_mismatches = 0
-        self.conflict_evictions = 0
 
     def _locate(self, address: int) -> tuple[int, int]:
         word = address >> 3
@@ -95,34 +98,21 @@ class DataDependencyTable:
 
     def update(self, address: int, csn: int) -> None:
         """Record ``csn`` as the producer of the value at ``address``."""
-        self.updates += 1
         if self.config.entries is None:
             self._unlimited[address >> 3] = csn
             return
         index, tag = self._locate(address)
-        previous = self._table.get(index)
-        if previous is not None and previous[0] != tag:
-            self.conflict_evictions += 1
         self._table[index] = (tag, csn)
 
     def lookup(self, address: int) -> int | None:
         """Return the recorded producer CSN for ``address`` (``None`` on a miss)."""
-        self.lookups += 1
         if self.config.entries is None:
-            csn = self._unlimited.get(address >> 3)
-            if csn is not None:
-                self.hits += 1
-            return csn
+            return self._unlimited.get(address >> 3)
         index, tag = self._locate(address)
         entry = self._table.get(index)
-        if entry is None:
+        if entry is None or entry[0] != tag:
             return None
-        entry_tag, csn = entry
-        if entry_tag != tag:
-            self.tag_mismatches += 1
-            return None
-        self.hits += 1
-        return csn
+        return entry[1]
 
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 

@@ -16,6 +16,12 @@ bits of path history (about 12.2KB).
 It only authorises a bypass when the entry's 4-bit confidence counter is
 saturated, because a distance misprediction costs a pipeline flush while
 simply not predicting costs nothing.
+
+Like the TAGE branch predictor's, the tables are flat lists indexed by
+entry -- tag, distance, confidence and valid -- one set per table, with the
+base table first, so a fresh core builds no object per entry.  A lookup
+takes every table's index and tag from the geometry's process-wide
+:class:`~repro.common.hashing.HashMemo` with one probe.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.common.hashing import mix_hash, tag_hash
+from repro.common.hashing import hash_memo
 
 
 class DistancePrediction(NamedTuple):
@@ -43,31 +49,6 @@ class DistancePrediction(NamedTuple):
     def usable(self) -> bool:
         """``True`` when the prediction is confident enough to attempt a bypass."""
         return self.distance is not None and self.distance > 0 and self.confident
-
-
-@dataclass
-class _DistanceEntry:
-    """One predictor entry: partial tag, predicted distance and confidence."""
-
-    tag: int = 0
-    distance: int = 0
-    confidence: int = 0
-    valid: bool = False
-
-
-def _snapshot_table(table: dict[int, _DistanceEntry]) -> dict:
-    """Serialise one sparse predictor table for a snapshot."""
-    return {index: [e.tag, e.distance, e.confidence, 1 if e.valid else 0]
-            for index, e in table.items()}
-
-
-def _restore_table(snapshot: dict) -> dict[int, _DistanceEntry]:
-    """Rebuild one sparse predictor table from a snapshot."""
-    return {
-        int(index): _DistanceEntry(tag=tag, distance=distance, confidence=confidence,
-                                   valid=bool(valid))
-        for index, (tag, distance, confidence, valid) in snapshot.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -96,151 +77,133 @@ class TageDistanceConfig:
 
 
 class TageDistancePredictor:
-    """TAGE-like instruction distance predictor (base + 5 tagged components)."""
+    """TAGE-like instruction distance predictor (base + 5 tagged components).
+
+    Table 0 is the base component and table ``c + 1`` tagged component
+    ``c``; a :class:`DistancePrediction`'s ``indices`` and ``tags`` follow
+    the same order, and its ``provider`` is the table number minus one
+    (``-1`` for the base, ``-2`` for no provider).
+    """
 
     name = "tage"
 
     def __init__(self, config: TageDistanceConfig | None = None) -> None:
         self.config = config or TageDistanceConfig()
         config = self.config
-        self._base: dict[int, _DistanceEntry] = {}
-        self._components: list[dict[int, _DistanceEntry]] = [
-            dict() for _ in config.component_entries
-        ]
-        self._base_tag_mask = (1 << config.base_tag_bits) - 1
+        sizes = [config.base_entries, *config.component_entries]
+        self._tags = [[0] * size for size in sizes]
+        self._distances = [[0] * size for size in sizes]
+        self._confidences = [[0] * size for size in sizes]
+        self._valid = [[False] * size for size in sizes]
         self._max_confidence = (1 << config.confidence_bits) - 1
-        # (history bits, index bits, tag bits) per tagged component.
-        self._geometry = tuple(
-            (history_bits, entries.bit_length() - 1, tag_bits)
-            for entries, history_bits, tag_bits in zip(
-                config.component_entries, config.component_history_bits,
-                config.component_tag_bits))
-        self.lookups = 0
-        self.trainings = 0
-        self.allocations = 0
+        self._max_distance = (1 << config.distance_bits) - 1
+        self._memo = hash_memo(
+            tuple((history_bits, entries.bit_length() - 1, tag_bits)
+                  for entries, history_bits, tag_bits in zip(
+                      config.component_entries, config.component_history_bits,
+                      config.component_tag_bits)),
+            config.path_bits, base=(config.base_entries, config.base_tag_bits))
 
     # -- prediction ---------------------------------------------------------------
 
     def predict(self, pc: int, history: int, path: int) -> DistancePrediction:
         """Predict the instruction distance for the load at ``pc``."""
-        self.lookups += 1
-        base_entries = self.config.base_entries
-        path_bits = self.config.path_bits
-        base_index = (pc >> 2) % base_entries
-        base_tag = ((pc >> 2) // base_entries) & self._base_tag_mask
-        indices: list[int] = [base_index]
-        tags: list[int] = [base_tag]
+        memo = self._memo
+        key = (pc & memo.pc_mask, history & memo.history_mask, path & memo.path_mask)
+        hashes = memo.table.get(key)
+        if hashes is None:
+            hashes = memo.fill(key)
+        indices, tags = hashes
+        valid = self._valid
+        entry_tags = self._tags
+        # The longest-history matching table provides; the base (table 0)
+        # only when no tagged component matches.
         provider = -1
-        provider_index = base_index
-        provider_entry: _DistanceEntry | None = None
-
-        components = self._components
-        for comp, (history_bits, index_bits, tag_bits) in enumerate(self._geometry):
-            index = mix_hash(pc, history, history_bits, path, path_bits, index_bits)
-            tag = tag_hash(pc, history, history_bits, tag_bits)
-            indices.append(index)
-            tags.append(tag)
-            entry = components[comp].get(index)
-            if entry is not None and entry.valid and entry.tag == tag:
-                provider = comp
-                provider_index = index
-                provider_entry = entry
-
-        if provider_entry is None:
-            base_entry = self._base.get(base_index)
-            if base_entry is not None and base_entry.valid and base_entry.tag == base_tag:
-                provider_entry = base_entry
-                provider = -1
-                provider_index = base_index
-
-        if provider_entry is None:
-            return DistancePrediction(None, False, -2, 0, tuple(indices), tuple(tags))
-        return DistancePrediction(provider_entry.distance,
-                                  provider_entry.confidence >= self._max_confidence,
-                                  provider, provider_index, tuple(indices), tuple(tags))
+        for table, index in enumerate(indices):
+            if valid[table][index] and entry_tags[table][index] == tags[table]:
+                provider = table
+        if provider < 0:
+            return DistancePrediction(None, False, -2, 0, indices, tags)
+        index = indices[provider]
+        return DistancePrediction(self._distances[provider][index],
+                                  self._confidences[provider][index] >= self._max_confidence,
+                                  provider - 1, index, indices, tags)
 
     # -- training -----------------------------------------------------------------
 
     def train(self, pc: int, history: int, path: int, actual_distance: int | None,
               prediction: DistancePrediction | None = None) -> None:
         """Train with the distance observed at commit (``None`` when no producer was found)."""
-        self.trainings += 1
         if prediction is None or not prediction.indices:
             prediction = self.predict(pc, history, path)
-            self.lookups -= 1
         if actual_distance is None:
             # No identified producer: a confident provider must lose its
             # confidence, otherwise it keeps authorising doomed bypasses
             # for loads that periodically have no in-window producer.
             self._reset_provider_confidence(prediction)
             return
-        max_distance = (1 << self.config.distance_bits) - 1
-        actual = min(actual_distance, max_distance)
+        actual = min(actual_distance, self._max_distance)
 
-        provider_entry = self._provider_entry(prediction)
-        correct = provider_entry is not None and provider_entry.distance == actual
-        if provider_entry is not None:
-            if correct:
-                provider_entry.confidence = min(provider_entry.confidence + 1,
-                                                self._max_confidence)
-            else:
-                provider_entry.distance = actual
-                provider_entry.confidence = 0
-        else:
+        table = self._provider_table(prediction)
+        if table is None:
             # Nothing predicted for this load yet: seed the base component.
-            base_index, base_tag = prediction.indices[0], prediction.tags[0]
-            self._base[base_index] = _DistanceEntry(
-                tag=base_tag, distance=actual, confidence=0, valid=True)
-
+            self._install(0, prediction.indices[0], prediction.tags[0], actual)
+            return
+        index = prediction.provider_index
+        confidences = self._confidences[table]
+        if self._distances[table][index] == actual:
+            confidences[index] = min(confidences[index] + 1, self._max_confidence)
+            return
+        self._distances[table][index] = actual
+        confidences[index] = 0
         # TAGE-style allocation: a wrong provider promotes the pair into a
         # longer-history component so context-dependent distances separate.
-        if provider_entry is not None and not correct:
-            self._allocate(prediction, actual)
+        self._allocate(prediction, actual)
 
-    def _provider_entry(self, prediction: DistancePrediction) -> _DistanceEntry | None:
+    def _provider_table(self, prediction: DistancePrediction) -> int | None:
+        """The table whose entry provided ``prediction``, if it still holds it."""
         if prediction.provider == -2:
             return None
-        if prediction.provider == -1:
-            entry = self._base.get(prediction.indices[0])
-            if entry is not None and entry.valid and entry.tag == prediction.tags[0]:
-                return entry
-            return None
-        component = self._components[prediction.provider]
-        entry = component.get(prediction.provider_index)
-        if entry is not None and entry.valid and entry.tag == prediction.tags[prediction.provider + 1]:
-            return entry
+        table = prediction.provider + 1
+        index = prediction.provider_index
+        if self._valid[table][index] and self._tags[table][index] == prediction.tags[table]:
+            return table
         return None
 
     def _reset_provider_confidence(self, prediction: DistancePrediction) -> None:
-        entry = self._provider_entry(prediction)
-        if entry is not None:
-            entry.confidence = 0
+        table = self._provider_table(prediction)
+        if table is not None:
+            self._confidences[table][prediction.provider_index] = 0
 
     def punish(self, pc: int, history: int, path: int,
                prediction: DistancePrediction | None = None) -> None:
         """A bypass based on this predictor failed validation: clear the provider's confidence."""
         if prediction is None or not prediction.indices:
             prediction = self.predict(pc, history, path)
-            self.lookups -= 1
         self._reset_provider_confidence(prediction)
+
+    def _install(self, table: int, index: int, tag: int, distance: int) -> None:
+        """Write a fresh, unconfident entry."""
+        self._tags[table][index] = tag
+        self._distances[table][index] = distance
+        self._confidences[table][index] = 0
+        self._valid[table][index] = True
 
     def _allocate(self, prediction: DistancePrediction, actual: int) -> None:
         """Allocate the pair in a component with longer history than the provider."""
-        start = prediction.provider + 1 if prediction.provider >= 0 else 0
-        for comp in range(start, len(self._components)):
-            index = prediction.indices[comp + 1]
-            tag = prediction.tags[comp + 1]
-            entry = self._components[comp].get(index)
-            if entry is None or not entry.valid or entry.confidence == 0:
-                self._components[comp][index] = _DistanceEntry(
-                    tag=tag, distance=actual, confidence=0, valid=True)
-                self.allocations += 1
+        tables = range(prediction.provider + 2, len(self._tags))
+        indices = prediction.indices
+        for table in tables:
+            index = indices[table]
+            if not self._valid[table][index] or self._confidences[table][index] == 0:
+                self._install(table, index, prediction.tags[table], actual)
                 return
         # All candidates were confident: age them so a later allocation succeeds.
-        for comp in range(start, len(self._components)):
-            entry = self._components[comp].get(prediction.indices[comp + 1])
-            if entry is not None and entry.confidence > 0:
-                entry.confidence -= 1
+        for table in tables:
+            confidences = self._confidences[table]
+            index = indices[table]
+            if confidences[index] > 0:
+                confidences[index] -= 1
 
     def storage_bits(self) -> int:
         """Total predictor storage in bits (about 12.2KB at the default sizing)."""
@@ -253,15 +216,22 @@ class TageDistancePredictor:
 
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
+    def _field_tables(self) -> dict[str, list[list]]:
+        """The per-table lists of each entry field, keyed as in a snapshot."""
+        return {"tags": self._tags, "distances": self._distances,
+                "confidences": self._confidences, "valid": self._valid}
+
     def to_snapshot(self) -> dict:
-        """Serialise the base and tagged components (statistics excluded)."""
-        return {"base": _snapshot_table(self._base),
-                "components": [_snapshot_table(table) for table in self._components]}
+        """Serialise every table (base first); each list is a copy."""
+        return {key: [list(table) for table in tables]
+                for key, tables in self._field_tables().items()}
 
     def restore_snapshot(self, snapshot: dict) -> None:
-        """Overwrite the predictor tables with a :meth:`to_snapshot` image."""
-        if len(snapshot["components"]) != len(self._components):
+        """Overwrite the predictor tables with a copy of a :meth:`to_snapshot` image."""
+        fields = self._field_tables()
+        geometry = [len(table) for table in self._tags]
+        if any([len(rows) for rows in snapshot[key]] != geometry for key in fields):
             raise ValueError("distance predictor snapshot geometry mismatch")
-        self._base = _restore_table(snapshot["base"])
-        self._components = [_restore_table(table) for table in snapshot["components"]]
-
+        for key, tables in fields.items():
+            for table, rows in zip(tables, snapshot[key]):
+                table[:] = rows

@@ -195,7 +195,12 @@ class SmbEngine:
 
     def train_commit(self, op: DynamicOp, csn: int, history: int, path: int,
                      prediction: DistancePrediction | None = None) -> None:
-        """Update CSN / DDT state for a committing micro-op and train the predictor."""
+        """Update CSN / DDT state for a committing load or store and train the predictor.
+
+        A committing instruction that writes a register and is not a load
+        only sets its CSN, which the commit stage writes into
+        :meth:`CommitCsnTable.raw` itself.
+        """
         if not self.config.enabled:
             return
         if op.is_store and op.mem_addr is not None and op.srcs:

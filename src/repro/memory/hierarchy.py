@@ -54,12 +54,26 @@ class MemoryHierarchy:
     # -- data-side accesses -------------------------------------------------------
 
     def access_data(self, address: int, is_write: bool, pc: int, now: int = 0) -> int:
-        """Access the data side of the hierarchy; returns the latency in cycles."""
+        """Access the data side of the hierarchy; returns the latency in cycles.
+
+        An L1D hit, the common case, refreshes the line's LRU position and
+        dirty bit in its cache set here, with no further call.
+        """
         self.demand_accesses += 1
-        line = self.l1d.line_address(address)
+        l1d = self.l1d
+        line_bytes = l1d._line_bytes
+        line = address // line_bytes
+        # The set list is read on every access: restore_snapshot replaces it.
+        cache_set = l1d._sets[line % l1d._num_sets]
+        tag = line // l1d._num_sets
         latency = self.config.l1d.hit_latency
-        if self.l1d.lookup(line, is_write=is_write):
+        if tag in cache_set:
+            dirty = cache_set.pop(tag)
+            cache_set[tag] = dirty or is_write
+            l1d.hits += 1
             return latency
+        l1d.misses += 1
+        line *= line_bytes
 
         # L1D miss: check MSHR occupancy, then the L2.
         self._retire_outstanding(now)

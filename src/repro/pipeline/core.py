@@ -27,6 +27,7 @@ Instruction Distance predictor at commit through the
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.backend.inflight import InflightOp
@@ -57,11 +58,8 @@ if TYPE_CHECKING:  # the sampling module imports this one
 
 _NEVER = 1 << 60
 _MASK64 = (1 << 64) - 1
-
-
-def _by_seq(entry: InflightOp) -> int:
-    """Sort key for same-cycle writeback ordering."""
-    return entry.seq
+#: Sort key for oldest-first ordering (same-cycle writebacks, the ready list).
+_BY_SEQ = attrgetter("seq")
 
 
 class Core:
@@ -107,6 +105,8 @@ class Core:
         self.smb_engine = SmbEngine(config.smb, num_arch_regs=NUM_INT_REGS + NUM_FP_REGS)
         self._smb_train_commit = (self.smb_engine.train_commit
                                   if config.smb.enabled else None)
+        self._commit_csns = (self.smb_engine.csn_table.raw()
+                             if config.smb.enabled else None)
         self.renamer = Renamer(self.rename_map, self.int_free, self.fp_free, self.tracker,
                                config.move_elimination, self.smb_engine)
 
@@ -114,6 +114,14 @@ class Core:
         self.rob = ReorderBuffer(config.rob_entries, lazy_reclaim=config.lazy_reclaim)
         self.iq = IssueQueue(config.iq_entries)
         self.lsq = LoadStoreQueue(config.lq_entries, config.sq_entries)
+        # The containers whose lengths are the occupancies the rename stage
+        # checks, bound once: each structure updates them in place.
+        self._rob_window = self.rob.window()
+        self._rob_retained = self.rob.retained()
+        self._lq = self.lsq.loads()
+        self._sq = self.lsq.stores()
+        self._int_free_regs = self.int_free.free_registers()
+        self._fp_free_regs = self.fp_free.free_registers()
         self.fus = FunctionalUnits()
         self.store_sets = StoreSetsPredictor(config.store_sets)
         self.memory = MemoryHierarchy(config.memory)
@@ -124,14 +132,16 @@ class Core:
         self.preg_ready: list[int] = [0] * config.num_phys_regs
         # Event-driven wakeup state: instructions whose operands are all
         # ready (oldest first; ``_ready_dirty`` marks an out-of-order
-        # wakeup append that needs a re-sort), and per-preg lists of
-        # instructions waiting for that register's writeback.  Together
-        # they replace the every-cycle full-queue readiness scan: an
-        # instruction is examined again only when one of its producers
-        # completes.
+        # wakeup append that needs a re-sort), per-preg lists of
+        # instructions waiting for that register's writeback, and per-store
+        # lists (keyed by the store's seq) of loads waiting for that store's
+        # writeback.  Together they replace the every-cycle full-queue
+        # readiness scan: an instruction is examined again only when one of
+        # its producers, or the store it waits on, completes.
         self._ready: list[InflightOp] = []
         self._ready_dirty = False
         self._consumers: dict[int, list[InflightOp]] = {}
+        self._store_waiters: dict[int, list[InflightOp]] = {}
         # Writeback event wheel: completion cycle -> ops finishing that
         # cycle.  The run loop advances one cycle at a time, so the
         # writeback stage pops exactly one bucket per cycle (O(1)) instead
@@ -304,7 +314,9 @@ class Core:
 
         * the writeback wheel's earliest bucket -- completions drive
           wake-ups (``preg_ready`` never holds a future cycle), commit
-          eligibility, redirect resolution and memory-dependence releases;
+          eligibility, redirect resolution and memory-dependence releases
+          (a load waiting on a store rejoins the ready list when the
+          store's bucket pops);
         * ``fetch_blocked_until`` (I-cache miss, BTB miss redirect, trap or
           recovery penalty) when no redirect is pending;
         * the front-end queue head maturing past ``frontend_depth``;
@@ -328,12 +340,11 @@ class Core:
             if cycle <= mature_at < nxt:
                 nxt = mature_at
         for entry in self._ready:
-            # Ready instructions are blocked on a busy non-pipelined unit,
-            # on a memory-dependence wait that resolves at a writeback
-            # event already accounted for above, or (rarely) stale after a
-            # source re-allocation, in which case their wake-up is a
-            # writeback event too.  Only the non-pipelined pool adds a
-            # candidate of its own.
+            # Ready instructions are blocked on a busy non-pipelined unit
+            # or on the issue width.  Loads waiting on a store have left
+            # the list for the store's wakeup list, whose release is a
+            # writeback event accounted for above.  Only the non-pipelined
+            # pool adds a candidate of its own.
             pool = entry.fu_pool
             if not pool.pipelined:
                 free_at = pool.next_free_cycle(cycle)
@@ -467,32 +478,53 @@ class Core:
         dispatch_cache = self._static_dispatch_cache
         me_is_candidate = config.move_elimination.is_candidate
         rob = self.rob
-        iq = self.iq
         lsq = self.lsq
         preg_ready = self.preg_ready
         ready = self._ready
         consumers = self._consumers
         tracer = self.tracer
-        # Fast path: when every structure has at least ``rename_width`` free
-        # slots (and reclaiming is eager, so no release walk can be owed),
-        # this cycle's group cannot stall and the per-op resource checks --
-        # all pure reads -- are skipped wholesale.
-        ample_resources = not config.lazy_reclaim and (
-            rob.free_slots() >= rename_width
-            and iq.free_slots() >= rename_width
-            and lsq.lq_capacity - lsq.lq_occupancy() >= rename_width
-            and lsq.sq_capacity - lsq.sq_occupancy() >= rename_width
-            and self.int_free.available() >= rename_width
-            and self.fp_free.available() >= rename_width)
+        # Occupancy is read once and counted down as the group dispatches:
+        # until commit runs again only this stage and a release walk change
+        # it, and a walk returns it re-read.
+        retained = len(self._rob_retained)
+        rob_free = rob.capacity - len(self._rob_window) - retained
+        int_free = len(self._int_free_regs)
+        fp_free = len(self._fp_free_regs)
+        iq_free = self.iq.capacity - self.iq.occupancy
+        lq_free = lsq.lq_capacity - len(self._lq)
+        sq_free = lsq.sq_capacity - len(self._sq)
+        low_watermark = config.free_list_low_watermark
+        dispatched = 0
         while renamed < rename_width and queue:
             entry = queue[0]
             if entry.fetch_cycle + frontend_depth > cycle:
                 break
             op = entry.op
-            if not ample_resources and not self._rename_resources_available(entry):
+            # The stall checks, in their architectural order.  Only lazy
+            # reclaim retains committed entries, whose release walk frees
+            # ROB slots and registers: forced by a full ROB or an empty
+            # destination free list, and run ahead of dispatch while a free
+            # list is below the watermark or the ROB cannot take a group.
+            if not rob_free and retained:
+                rob_free, retained, int_free, fp_free = self._release_retained(force=True)
+            writes_int = op.writes_register and op.dest_flat < NUM_INT_REGS
+            if (not rob_free or not iq_free
+                    or (op.is_load and not lq_free) or (op.is_store and not sq_free)):
+                stalled = True
+            elif op.writes_register and not (int_free if writes_int else fp_free):
+                if retained:
+                    rob_free, retained, int_free, fp_free = \
+                        self._release_retained(force=True)
+                stalled = not (int_free if writes_int else fp_free)
+            else:
+                stalled = False
+            if stalled:
                 self.counters["rename_stall_cycles"] += 1
                 self._rename_stalled = True
                 break
+            if retained and (int_free < low_watermark or fp_free < low_watermark
+                             or rob_free < rename_width):
+                rob_free, retained, int_free, fp_free = self._release_retained(force=False)
             queue.popleft()
 
             smb_prediction = None
@@ -522,6 +554,10 @@ class Core:
 
             if entry.allocated:
                 preg_ready[entry.dest_preg] = _NEVER
+                if writes_int:
+                    int_free -= 1
+                else:
+                    fp_free -= 1
 
             entry.needs_execution = needs_execution = not (entry.eliminated or is_nop)
             if needs_execution:
@@ -543,10 +579,16 @@ class Core:
 
             # Dispatch.
             rob.append(entry)
+            rob_free -= 1
             if op.is_load or op.is_store:
                 lsq.add(entry)
+                if op.is_load:
+                    lq_free -= 1
+                else:
+                    sq_free -= 1
             if needs_execution:
-                iq.add(entry)
+                dispatched += 1
+                iq_free -= 1
                 # Event-driven wakeup: register on every not-yet-ready
                 # source; an operand-complete instruction goes straight to
                 # the ready list (dispatch order is age order, so the
@@ -571,30 +613,9 @@ class Core:
                 tracer.on_rename(entry, cycle)
             renamed += 1
         if renamed:
+            if dispatched:
+                self.iq.note_dispatched(dispatched)
             self._progress = True
-
-    def _rename_resources_available(self, entry: InflightOp) -> bool:
-        """Check ROB/IQ/LSQ/free-list availability, triggering lazy release if needed."""
-        op = entry.op
-        if self.rob.is_full():
-            if self.config.lazy_reclaim:
-                self._release_retained(force=True)
-            if self.rob.is_full():
-                return False
-        if self.iq.is_full():
-            return False
-        if op.is_load and self.lsq.lq_full():
-            return False
-        if op.is_store and self.lsq.sq_full():
-            return False
-        if not self.renamer.can_rename(op):
-            if self.config.lazy_reclaim:
-                self._release_retained(force=True)
-            if not self.renamer.can_rename(op):
-                return False
-        if self.config.lazy_reclaim:
-            self._release_retained(force=False)
-        return True
 
     def _resolve_producer(self, seq: int) -> ProducerInfo | None:
         """Locate a bypass producer by sequence number (ROB or retained entries)."""
@@ -627,15 +648,17 @@ class Core:
         overwriting that architectural register is younger and in-order
         commit forces the consumer to commit (hence issue) first -- so a
         woken entry needs no operand re-verification, only its functional
-        unit and memory-dependence checks.  The issue queue itself only
-        holds the entries: this loop selects from ``_ready`` and accounts
-        for what it issued with :meth:`IssueQueue.note_issued`.
+        unit and memory-dependence checks.  A load whose memory-dependence
+        check says wait leaves the list for the wakeup list of the store it
+        waits on (see :meth:`_load_issue_latency`).  The issue queue itself
+        only counts: this loop accounts for what it issued with
+        :meth:`IssueQueue.note_issued`.
         """
         ready = self._ready
         if not ready:
             return
         if self._ready_dirty:
-            ready.sort(key=_by_seq)
+            ready.sort(key=_BY_SEQ)
             self._ready_dirty = False
         cycle = self.cycle
         issue_width = self.config.issue_width
@@ -664,37 +687,40 @@ class Core:
                 if accepts:
                     if entry.is_load:
                         latency = load_issue_latency(entry)
+                        if latency is None:
+                            # Parked on the store it waits for.
+                            if remaining is None:
+                                remaining = ready[:position]
+                            continue
                     elif entry.is_store:
                         latency = store_latency
                     else:
                         latency = entry.exec_latency
-                    if latency is not None:
-                        if pipelined:
-                            pool._issued_this_cycle += 1
-                            pool.operations += 1
-                        else:
-                            pool.accept(cycle, latency)
-                        entry.issued = True
-                        entry.issue_cycle = cycle
-                        complete_cycle = cycle + latency
-                        entry.complete_cycle = complete_cycle
-                        # Writeback for this cycle already ran, so a
-                        # zero-latency op lands in the next cycle's
-                        # bucket -- exactly when the former heap (popped
-                        # with `<= cycle`) would have delivered it.
-                        bucket_key = (complete_cycle if complete_cycle > cycle
-                                      else cycle + 1)
-                        bucket = wheel.get(bucket_key)
-                        if bucket is None:
-                            wheel[bucket_key] = [entry]
-                        else:
-                            bucket.append(entry)
-                        if tracer is not None:
-                            tracer.on_issue(entry, cycle)
-                        issued += 1
-                        if remaining is None:
-                            remaining = ready[:position]
-                        continue
+                    if pipelined:
+                        pool._issued_this_cycle += 1
+                        pool.operations += 1
+                    else:
+                        pool.accept(cycle, latency)
+                    entry.issued = True
+                    entry.issue_cycle = cycle
+                    complete_cycle = cycle + latency
+                    entry.complete_cycle = complete_cycle
+                    # Writeback for this cycle already ran, so a
+                    # zero-latency op lands in the next cycle's bucket --
+                    # exactly when the former heap (popped with
+                    # `<= cycle`) would have delivered it.
+                    bucket_key = complete_cycle if complete_cycle > cycle else cycle + 1
+                    bucket = wheel.get(bucket_key)
+                    if bucket is None:
+                        wheel[bucket_key] = [entry]
+                    else:
+                        bucket.append(entry)
+                    if tracer is not None:
+                        tracer.on_issue(entry, cycle)
+                    issued += 1
+                    if remaining is None:
+                        remaining = ready[:position]
+                    continue
             if remaining is not None:
                 remaining.append(entry)
         if remaining is not None:
@@ -704,7 +730,14 @@ class Core:
             self._progress = True
 
     def _load_issue_latency(self, entry: InflightOp) -> int | None:
-        """Memory-dependence checks and latency for a load; ``None`` means wait."""
+        """Memory-dependence checks and latency for a load.
+
+        ``None`` means the load waits for an older store to write back: it
+        is parked on that store's wakeup list, and :meth:`_do_complete`
+        returns it to the ready list when the store's bucket pops -- the
+        first cycle in which the check could pass.  Until then it is not
+        examined again.
+        """
         config = self.config
         op = entry.op
 
@@ -713,6 +746,7 @@ class Core:
             store = self.rob.lookup(entry.store_set_wait_seq)
             if store is not None and store.is_store and not store.committed \
                     and not store.completed:
+                self._park(entry, store)
                 return None
             if not entry.false_dependency:
                 store_op = self.trace.ops[entry.store_set_wait_seq]
@@ -727,6 +761,7 @@ class Core:
         if decision.state is ForwardingState.PARTIAL_OVERLAP:
             store = decision.store
             if not (store.issued and store.completed):
+                self._park(entry, store)
                 return None
             return config.stlf_latency + config.partial_forward_penalty
         if decision.state is ForwardingState.FORWARD:
@@ -735,6 +770,14 @@ class Core:
         # No conflict, or the covering store has not executed yet (the load
         # proceeds with possibly stale data -- violation detected later).
         return self.memory.access_data(op.mem_addr, False, op.pc, self.cycle)
+
+    def _park(self, load: InflightOp, store: InflightOp) -> None:
+        """Put a waiting load on the wakeup list of the store it waits for."""
+        waiters = self._store_waiters.get(store.seq)
+        if waiters is None:
+            self._store_waiters[store.seq] = [load]
+        else:
+            waiters.append(load)
 
     # -------------------------------------------------------------- writeback --
 
@@ -747,9 +790,10 @@ class Core:
         # Same-cycle completions are processed oldest first (the order the
         # former writeback heap produced); ops issued in different cycles
         # can land in one bucket out of sequence order.
-        bucket.sort(key=_by_seq)
+        bucket.sort(key=_BY_SEQ)
         ready = self._ready
         consumers = self._consumers
+        store_waiters = self._store_waiters
         tracer = self.tracer
         for entry in bucket:
             if entry.completed:
@@ -771,6 +815,12 @@ class Core:
                             ready.append(waiter)
                             self._ready_dirty = True
             if entry.is_store:
+                # Loads parked on this store retry this very cycle.
+                if store_waiters:
+                    parked = store_waiters.pop(entry.seq, None)
+                    if parked:
+                        ready.extend(parked)
+                        self._ready_dirty = True
                 self._detect_violations(entry)
             if entry.is_load and entry.bypassed:
                 self.smb_engine.note_validation(
@@ -806,28 +856,35 @@ class Core:
     # ----------------------------------------------------------------- commit --
 
     def _do_commit(self) -> None:
-        rob = self.rob
-        entry = rob.head()
-        if entry is None or not entry.completed:
+        window = self._rob_window
+        if not window or not window[0].completed:
             return
         # The per-entry commit work is inlined into this loop (rather than
         # split into a helper) with the shared structures bound once: at
-        # IPC > 1 this runs for nearly every micro-op of the trace.
+        # IPC > 1 this runs for nearly every micro-op of the trace.  The
+        # loop reads the ROB's in-flight window in place and retires what
+        # it committed from the ROB and the LSQ in one call each afterwards
+        # (nothing in between reads either).
         config = self.config
         counters = self.counters
-        lsq = self.lsq
         tracker = self.tracker
         commit_raw = self.commit_map.raw()
         smb_train = self._smb_train_commit
+        commit_csns = self._commit_csns
         lazy_reclaim = config.lazy_reclaim
+        num_int_pregs = config.num_int_pregs
+        int_free, fp_free = self.int_free, self.fp_free
         tracer = self.tracer
         cycle = self.cycle
         milestones = self._milestone_commits
-        committed_now = 0
+        committed_now = loads = stores = 0
         commit_width = config.commit_width
-        while committed_now < commit_width:
+        trap = None
+        for entry in window:
+            if committed_now == commit_width or not entry.completed:
+                break
             if entry.violation or (entry.bypassed and not entry.bypass_value_matches):
-                self._flush_at(entry)
+                trap = entry
                 break
             op = entry.op
             csn = self._csn_base + self.committed
@@ -835,23 +892,8 @@ class Core:
                 self._first_commit_cycle = cycle
             entry.committed = True
             entry.commit_cycle = cycle
-            rob.pop_head()
             if tracer is not None:
                 tracer.on_commit(entry, cycle)
-
-            if op.is_load or op.is_store:
-                lsq.remove_committed(entry)
-                if op.is_store:
-                    # Drain the store to the cache (latency absorbed by the
-                    # store buffer).
-                    self.memory.access_data(op.mem_addr, True, op.pc, cycle)
-                    self.store_sets.store_completed(op.pc, op.seq)
-                else:
-                    counters["committed_loads"] += 1
-                    if entry.bypassed:
-                        counters["committed_bypassed_loads"] += 1
-            if entry.eliminated:
-                counters["committed_eliminated_moves"] += 1
 
             dest_preg = entry.dest_preg
             if entry.share_recorded and dest_preg is not None:
@@ -862,29 +904,44 @@ class Core:
                 previous = commit_raw[arch_flat]
                 commit_raw[arch_flat] = dest_preg
                 if entry.allocated:
-                    self._free_list_for_preg(dest_preg).on_commit_allocate(dest_preg)
-                if previous >= 0 and previous != dest_preg:
-                    if lazy_reclaim:
-                        # Deferred: the ROB retains this entry until the
-                        # release walk.
-                        pass
-                    else:
-                        self._reclaim_register(previous, arch_flat, entry.seq)
+                    (int_free if dest_preg < num_int_pregs
+                     else fp_free).on_commit_allocate(dest_preg)
+                if previous >= 0 and previous != dest_preg and not lazy_reclaim:
+                    # Under lazy reclaim the ROB retains this entry and the
+                    # release walk reclaims ``previous`` later.
+                    self._reclaim_register(previous, arch_flat, entry.seq)
 
-            # Commit-side SMB training (CSN table, DDT, distance predictor);
-            # ``smb_train`` is None when SMB is disabled.
-            if smb_train is not None:
-                smb_train(op, csn, entry.history, entry.path, entry.smb_prediction)
+            if op.is_load or op.is_store:
+                if op.is_store:
+                    stores += 1
+                    # Drain the store to the cache (latency absorbed by the
+                    # store buffer).
+                    self.memory.access_data(op.mem_addr, True, op.pc, cycle)
+                    self.store_sets.store_completed(op.pc, op.seq)
+                else:
+                    loads += 1
+                    counters["committed_loads"] += 1
+                    if entry.bypassed:
+                        counters["committed_bypassed_loads"] += 1
+                # Commit-side SMB training (CSN table, DDT, distance
+                # predictor); ``smb_train`` is None when SMB is disabled.
+                if smb_train is not None:
+                    smb_train(op, csn, entry.history, entry.path, entry.smb_prediction)
+            elif commit_csns is not None and op.writes_register:
+                commit_csns[op.dest_flat] = csn
+            if entry.eliminated:
+                counters["committed_eliminated_moves"] += 1
             self.committed += 1
             if milestones is not None and self.committed in milestones:
                 self.milestone_cycles[self.committed] = cycle
-
             committed_now += 1
-            entry = rob.head()
-            if entry is None or not entry.completed:
-                break
         if committed_now:
+            self.rob.retire(committed_now)
+            if loads or stores:
+                self.lsq.retire(loads, stores)
             self._progress = True
+        if trap is not None:
+            self._flush_at(trap)
 
     def _reclaim_register(self, preg: int, arch_flat: int, seq: int) -> None:
         """Ask the sharing tracker whether ``preg`` can return to the free list."""
@@ -895,35 +952,40 @@ class Core:
             self._last_reclaim_check_seq = seq
         decision = self.tracker.reclaim(preg, arch_flat)
         if decision is ReclaimDecision.FREE:
-            self._free_list_for_preg(preg).release(preg)
+            (self.int_free if preg < self.config.num_int_pregs else self.fp_free).release(preg)
 
-    def _release_retained(self, force: bool) -> None:
+    def _release_retained(self, force: bool) -> tuple[int, int, int, int]:
         """Lazy-reclaim release walk (Section 3.3).
 
         Triggered when the free list runs low or the ROB fills up
-        (``force``), the walk releases retained committed entries and
-        performs the register reclaims their commits deferred.
+        (``force``: a full ROB or an empty free list), the walk releases
+        retained committed entries and performs the register reclaims
+        their commits deferred.  Returns the occupancy the rename stage
+        counts down: free ROB slots, retained entries, and free int and FP
+        registers.
         """
         config = self.config
-        def needs_release() -> bool:
-            if force and (self.rob.is_full()
-                          or self.int_free.is_empty() or self.fp_free.is_empty()):
-                return True
-            return (self.int_free.available() < config.free_list_low_watermark
-                    or self.fp_free.available() < config.free_list_low_watermark
-                    or self.rob.free_slots() < config.rename_width)
-
+        capacity = self.rob.capacity
+        window, retained = self._rob_window, self._rob_retained
+        int_regs, fp_regs = self._int_free_regs, self._fp_free_regs
+        low_watermark = config.free_list_low_watermark
         released_any = False
-        while needs_release() and self.rob.retained_count() > 0:
-            entry = self.rob.pop_retained()
-            if entry is None:
+        while retained:
+            rob_free = capacity - len(window) - len(retained)
+            int_free, fp_free = len(int_regs), len(fp_regs)
+            if not ((force and (not rob_free or not int_free or not fp_free))
+                    or int_free < low_watermark or fp_free < low_watermark
+                    or rob_free < config.rename_width):
                 break
+            entry = self.rob.pop_retained()
             released_any = True
             if entry.op.dest is not None and entry.old_preg is not None \
                     and entry.old_preg >= 0 and entry.old_preg != entry.dest_preg:
                 self._reclaim_register(entry.old_preg, entry.op.dest_flat, entry.seq)
         if released_any:
             self.counters["release_walks"] += 1
+        return (capacity - len(window) - len(retained), len(retained),
+                len(int_regs), len(fp_regs))
 
     # ------------------------------------------------------------------ flush --
 
@@ -948,6 +1010,7 @@ class Core:
         self._ready.clear()
         self._ready_dirty = False
         self._consumers.clear()
+        self._store_waiters.clear()
         self.lsq.squash_all()
         self.frontend_queue.clear()
         self.execution_wheel.clear()
@@ -957,8 +1020,9 @@ class Core:
         self.rename_map.copy_from(self.commit_map)
         self.int_free.restore_to_committed()
         self.fp_free.restore_to_committed()
+        num_int_pregs = self.config.num_int_pregs
         for preg in self.tracker.flush_to_committed():
-            self._free_list_for_preg(preg).release(preg)
+            (self.int_free if preg < num_int_pregs else self.fp_free).release(preg)
 
         # Re-fetch from the trapping instruction itself.
         self.fetch_index = entry.seq
@@ -1047,9 +1111,6 @@ class Core:
         self._csn_base = snap.next_csn
 
     # ------------------------------------------------------------------ utils --
-
-    def _free_list_for_preg(self, preg: int) -> FreeList:
-        return self.int_free if preg < self.config.num_int_pregs else self.fp_free
 
     def metrics(self) -> MetricsRegistry:
         """This run's statistics as a unified, merge-aware registry.

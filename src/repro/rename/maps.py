@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS, ArchReg, RegClass
+from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS, RegClass
 
 
 class RenameMap:
@@ -31,27 +31,6 @@ class RenameMap:
     def __init__(self, num_arch_regs: int = NUM_INT_REGS + NUM_FP_REGS) -> None:
         self.num_arch_regs = num_arch_regs
         self._map: list[int] = [-1] * num_arch_regs
-
-    def lookup(self, arch: ArchReg) -> int:
-        """Physical register currently mapped to ``arch``."""
-        return self._map[arch.flat_index]
-
-    def lookup_flat(self, arch_flat: int) -> int:
-        """Physical register currently mapped to the flat architectural index."""
-        return self._map[arch_flat]
-
-    def define(self, arch: ArchReg, preg: int) -> int:
-        """Map ``arch`` to ``preg``; returns the previous mapping."""
-        index = arch.flat_index
-        old = self._map[index]
-        self._map[index] = preg
-        return old
-
-    def define_flat(self, arch_flat: int, preg: int) -> int:
-        """Map the flat architectural index to ``preg``; returns the previous mapping."""
-        old = self._map[arch_flat]
-        self._map[arch_flat] = preg
-        return old
 
     def copy_from(self, other: "RenameMap | CommitRenameMap") -> None:
         """Overwrite all mappings with those of ``other`` (flush recovery).
@@ -97,8 +76,7 @@ class FreeList:
     list from the committed set.
     """
 
-    __slots__ = ("reg_class", "first_preg", "count", "_free", "_committed_free",
-                 "allocations", "frees", "empty_stalls")
+    __slots__ = ("reg_class", "first_preg", "count", "_free", "_committed_free")
 
     def __init__(self, reg_class: RegClass, first_preg: int, count: int,
                  initially_mapped: int) -> None:
@@ -110,26 +88,22 @@ class FreeList:
         free = list(range(first_preg + initially_mapped, first_preg + count))
         self._free: deque[int] = deque(free)
         self._committed_free: set[int] = set(free)
-        self.allocations = 0
-        self.frees = 0
-        self.empty_stalls = 0
 
     # -- speculative side ---------------------------------------------------------
 
-    def available(self) -> int:
-        """Number of registers available for speculative allocation."""
-        return len(self._free)
+    def free_registers(self) -> deque[int]:
+        """The speculative free list itself, next allocation first.
 
-    def is_empty(self) -> bool:
-        """``True`` when no register can be allocated."""
-        return not self._free
+        Exposed so the rename stage can read its length without a call;
+        callers must not mutate it.  Every update is in place, so a
+        reference stays current.
+        """
+        return self._free
 
     def allocate(self) -> int:
         """Pop a free register for a newly renamed destination."""
         if not self._free:
-            self.empty_stalls += 1
             raise IndexError(f"free list for {self.reg_class.value} registers is empty")
-        self.allocations += 1
         return self._free.popleft()
 
     # -- committed side -----------------------------------------------------------
@@ -144,11 +118,11 @@ class FreeList:
             raise ValueError(f"physical register {preg} freed twice")
         self._free.append(preg)
         self._committed_free.add(preg)
-        self.frees += 1
 
     def restore_to_committed(self) -> None:
         """Commit-time flush: the speculative list becomes the committed image."""
-        self._free = deque(sorted(self._committed_free))
+        self._free.clear()
+        self._free.extend(sorted(self._committed_free))
 
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
@@ -170,7 +144,8 @@ class FreeList:
             if not self.contains(preg):
                 raise ValueError(
                     f"free-list snapshot register {preg} outside this class's range")
-        self._free = deque(snapshot["free"])
+        self._free.clear()
+        self._free.extend(snapshot["free"])
         self._committed_free = set(snapshot["committed_free"])
 
     # -- introspection ------------------------------------------------------------

@@ -54,29 +54,15 @@ class Renamer:
                  tracker: SharingTracker, move_policy: MoveEliminationPolicy,
                  smb_engine: SmbEngine | None = None) -> None:
         self.rename_map = rename_map
+        # The mapping list itself: flush recovery and snapshot restores
+        # update it in place, so it stays current.
+        self._map = rename_map.raw()
         self.int_free_list = int_free_list
         self.fp_free_list = fp_free_list
         self.tracker = tracker
         self.move_policy = move_policy
         self.smb_engine = smb_engine
         self.move_stats = MoveEliminationStats()
-
-    # -- helpers ------------------------------------------------------------------
-
-    def free_list_for(self, reg_class: RegClass) -> FreeList:
-        """The free list serving ``reg_class``."""
-        return self.int_free_list if reg_class is RegClass.INT else self.fp_free_list
-
-    def can_rename(self, op: DynamicOp) -> bool:
-        """Cheap resource check: is a physical register available if one is needed?
-
-        Move elimination or SMB may end up not needing the register, but a
-        conservative check keeps the rename stage simple (a real renamer
-        stalls the same way when the free list runs dry).
-        """
-        if op.dest is None:
-            return True
-        return not self.free_list_for(op.dest.reg_class).is_empty()
 
     # -- main entry points --------------------------------------------------------
 
@@ -93,9 +79,13 @@ class Renamer:
         of per-op allocations.  ``me_candidate`` lets the caller supply a
         cached :meth:`MoveEliminationPolicy.is_candidate` verdict (the
         candidacy of a static instruction never changes).
+
+        The caller checks that a physical register is free when ``op``
+        writes one: move elimination or SMB may end up not needing it, but
+        a real renamer stalls the same way when the free list runs dry.
         """
-        raw_map = self.rename_map.raw()
-        src_pregs = entry.src_pregs = tuple([raw_map[flat] for flat in op.src_flats])
+        raw_map = self._map
+        src_pregs = entry.src_pregs = tuple(map(raw_map.__getitem__, op.src_flats))
         self.move_stats.renamed_instructions += 1
 
         if op.dest is None:
@@ -117,7 +107,8 @@ class Renamer:
         free_list = (self.int_free_list if op.dest.reg_class is RegClass.INT
                      else self.fp_free_list)
         new_preg = free_list.allocate()
-        entry.old_preg = self.rename_map.define_flat(op.dest_flat, new_preg)
+        entry.old_preg = raw_map[op.dest_flat]
+        raw_map[op.dest_flat] = new_preg
         entry.dest_preg = new_preg
         entry.allocated = True
 
@@ -129,7 +120,8 @@ class Renamer:
         if not self.tracker.supports_move_elimination:
             return False
         source_preg = src_pregs[0]
-        if self.rename_map.lookup_flat(op.dest_flat) == source_preg:
+        raw_map = self._map
+        if raw_map[op.dest_flat] == source_preg:
             # The destination already maps to the source's register (e.g. a
             # repeated move): the mapping set does not change, so no new
             # reference needs to be recorded.
@@ -147,7 +139,8 @@ class Renamer:
         if not granted:
             self.move_stats.rejected_by_tracker += 1
             return False
-        entry.old_preg = self.rename_map.define_flat(op.dest_flat, source_preg)
+        entry.old_preg = raw_map[op.dest_flat]
+        raw_map[op.dest_flat] = source_preg
         self.move_stats.eliminated += 1
         entry.dest_preg = source_preg
         entry.eliminated = True
@@ -181,7 +174,8 @@ class Renamer:
             # treat it as an unusable producer.
             self.smb_engine.note_rejection("no_producer")
             return False
-        if self.rename_map.lookup_flat(op.dest_flat) == producer.preg:
+        raw_map = self._map
+        if raw_map[op.dest_flat] == producer.preg:
             # The destination already maps to the producer's register; no new
             # reference is needed, the bypass is effectively free.
             self.smb_engine.note_bypass(producer.is_load, producer.is_committed)
@@ -201,7 +195,8 @@ class Renamer:
         if not granted:
             self.smb_engine.note_rejection("tracker")
             return False
-        entry.old_preg = self.rename_map.define_flat(op.dest_flat, producer.preg)
+        entry.old_preg = raw_map[op.dest_flat]
+        raw_map[op.dest_flat] = producer.preg
         self.smb_engine.note_bypass(producer.is_load, producer.is_committed)
         entry.dest_preg = producer.preg
         entry.bypassed = True

@@ -1,4 +1,5 @@
-"""Unit tests for the front-end predictors: TAGE, BTB and the RAS.
+"""Unit tests for the front-end predictors: TAGE, the instruction distance
+predictor, their lookup hash memo, the BTB and the RAS.
 
 The TAGE tests walk one branch through a scripted allocate/train sequence
 on a small two-component predictor and assert each intermediate prediction
@@ -23,7 +24,9 @@ import pytest
 from repro.bpred.btb import BranchTargetBuffer
 from repro.bpred.ras import ReturnAddressStack
 from repro.bpred.tage import TageBranchPredictor, TageComponentConfig, TageConfig
-from repro.common.history import PathHistory, ShiftHistory
+from repro.common.hashing import mix_hash, tag_hash
+from repro.common.history import HistoryCheckpoint, PathHistory, ShiftHistory
+from repro.core.distance import TageDistancePredictor
 
 PC = 0x40
 
@@ -257,6 +260,149 @@ def test_tage_prediction_stream_is_pinned(name):
     assert _stream_digest(config, steps, periods) == expected
     # A predictor restored mid-stream continues the stream identically.
     assert _stream_digest(config, steps, periods, restore_at=steps // 2 + 3) == expected
+
+
+# ---------------------------------------------------------------------------
+# Lookup hash memo
+# ---------------------------------------------------------------------------
+
+
+def _direct_tage_hashes(config: TageConfig, pc: int, history: int, path: int):
+    geometry = [(c.history_bits, c.entries.bit_length() - 1, c.tag_bits)
+                for c in config.components]
+    return (tuple(mix_hash(pc, history, h, path, config.path_bits, i) for h, i, _ in geometry),
+            tuple(tag_hash(pc, history, h, t) for h, _, t in geometry))
+
+
+def _direct_distance_hashes(predictor: TageDistancePredictor, pc: int, history: int,
+                            path: int):
+    config = predictor.config
+    indices = [(pc >> 2) % config.base_entries]
+    tags = [((pc >> 2) // config.base_entries) & ((1 << config.base_tag_bits) - 1)]
+    for entries, h, t in zip(config.component_entries, config.component_history_bits,
+                             config.component_tag_bits):
+        indices.append(mix_hash(pc, history, h, path, config.path_bits,
+                                entries.bit_length() - 1))
+        tags.append(tag_hash(pc, history, h, t))
+    return tuple(indices), tuple(tags)
+
+
+def _tage_lookup(predictor: TageBranchPredictor, pc: int, history: int, path: int):
+    registers = _fresh_histories()
+    registers[0].restore(HistoryCheckpoint(history, 256))
+    registers[1].restore(HistoryCheckpoint(path, 32))
+    prediction = predictor.predict(pc, *registers)
+    # The history registers hold 256 and 32 bits: hash what they hold.
+    expected = _direct_tage_hashes(predictor.config, pc, history, path)
+    return (prediction.indices, prediction.tags), expected
+
+
+def _distance_lookup(predictor: TageDistancePredictor, pc: int, history: int, path: int):
+    prediction = predictor.predict(pc, history, path)
+    return ((prediction.indices, prediction.tags),
+            _direct_distance_hashes(predictor, pc, history, path))
+
+
+def _lookup_triples(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """Random (pc, history, path) triples with bits set far above every
+    mask, each followed by a twin that differs only in those high bits."""
+    rng = random.Random(seed)
+    triples = []
+    for _ in range(count):
+        pc, history, path = rng.getrandbits(64), rng.getrandbits(256), rng.getrandbits(32)
+        triples.append((pc, history, path))
+        triples.append((pc ^ (rng.getrandbits(32) << 32),
+                        history ^ (rng.getrandbits(120) << 136),
+                        path ^ (rng.getrandbits(16) << 16)))
+    return triples
+
+
+_PREDICTORS = {"tage": (TageBranchPredictor, _tage_lookup),
+               "distance": (TageDistancePredictor, _distance_lookup)}
+
+
+@pytest.mark.parametrize("name", sorted(_PREDICTORS))
+def test_hash_memo_matches_direct_hashes(name, monkeypatch):
+    """A lookup's memoized indices and tags equal the per-component
+    ``mix_hash``/``tag_hash`` of the unmasked inputs, on a cold memo, on a
+    warm one, and after the bound has cleared it."""
+    make, lookup = _PREDICTORS[name]
+    predictor = make()
+    memo = predictor._memo
+    memo.table.clear()
+    triples = _lookup_triples(seed=len(name), count=200)
+
+    cold = []
+    for pc, history, path in triples:
+        hashes, expected = lookup(predictor, pc, history, path)
+        assert hashes == expected, (name, pc, history, path)
+        cold.append(hashes)
+    # Twins differ only in bits no hash reads, so they share an entry.
+    assert len(memo.table) == len(triples) // 2
+
+    # Warm: every lookup is answered from the memo, with the same tuples.
+    for (pc, history, path), first in zip(triples, cold):
+        hashes, expected = lookup(predictor, pc, history, path)
+        assert hashes == expected
+        assert hashes[0] is first[0] and hashes[1] is first[1]
+    assert len(memo.table) == len(triples) // 2
+
+    # A bound below the working set clears the memo over and over: new
+    # triples evict the old ones, which then miss and are hashed again.
+    monkeypatch.setattr(memo, "bound", 16)
+    for pc, history, path in _lookup_triples(seed=99, count=50) + triples:
+        hashes, expected = lookup(predictor, pc, history, path)
+        assert hashes == expected
+        assert len(memo.table) <= 16
+
+
+def test_predictors_share_one_memo_per_geometry():
+    assert TageBranchPredictor()._memo is TageBranchPredictor()._memo
+    assert TageDistancePredictor()._memo is TageDistancePredictor()._memo
+    assert _small_tage()._memo is not TageBranchPredictor()._memo
+
+
+# ---------------------------------------------------------------------------
+# Instruction distance predictor
+# ---------------------------------------------------------------------------
+
+
+def test_distance_predictor_construction_allocates_no_per_entry_objects():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        TageDistancePredictor()
+        added = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert added < 100
+
+
+def test_distance_predictor_learns_and_restores():
+    """A repeated distance becomes confident; a restored copy predicts the
+    same, and its snapshot is a value."""
+    predictor = TageDistancePredictor()
+    history, path = 0b1011, 0x2A
+    for _ in range(20):
+        prediction = predictor.predict(PC, history, path)
+        predictor.train(PC, history, path, 7, prediction)
+    prediction = predictor.predict(PC, history, path)
+    assert prediction.usable and prediction.distance == 7
+
+    snapshot = predictor.to_snapshot()
+    frozen = copy.deepcopy(snapshot)
+    restored = TageDistancePredictor()
+    restored.restore_snapshot(snapshot)
+    assert restored.predict(PC, history, path) == prediction
+
+    # A different distance resets the provider's confidence.
+    predictor.train(PC, history, path, 9, prediction)
+    assert not predictor.predict(PC, history, path).usable
+    assert snapshot == frozen
+    assert restored.predict(PC, history, path) == prediction
 
 
 # ---------------------------------------------------------------------------
