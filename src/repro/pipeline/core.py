@@ -500,11 +500,12 @@ class Core:
             if entry.fetch_cycle + frontend_depth > cycle:
                 break
             op = entry.op
-            # The stall checks, in their architectural order.  Only lazy
-            # reclaim retains committed entries, whose release walk frees
-            # ROB slots and registers: forced by a full ROB or an empty
-            # destination free list, and run ahead of dispatch while a free
-            # list is below the watermark or the ROB cannot take a group.
+            # The stall checks, in their fixed order: ROB, IQ, LSQ, then the
+            # destination's free list.  Only lazy reclaim retains committed
+            # entries, whose release walk frees ROB slots and registers: it
+            # is forced by a full ROB or an empty destination free list, and
+            # runs ahead of dispatch while a free list is below the
+            # watermark or the ROB cannot take a whole group.
             if not rob_free and retained:
                 rob_free, retained, int_free, fp_free = self._release_retained(force=True)
             writes_int = op.writes_register and op.dest_flat < NUM_INT_REGS
