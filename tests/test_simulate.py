@@ -35,3 +35,29 @@ def test_simulate_trace_matches_simulate():
     via_trace = simulate_trace(trace, CoreConfig())
     via_name = simulate("move_chain", CoreConfig(), max_ops=1_000, seed=1)
     assert via_trace.cycles == via_name.cycles
+
+
+def test_load_woken_by_its_store_issues_oldest_first():
+    """A load parked on a store rejoins the ready list in age order: when
+    the store writes back, the parked load takes a load port ahead of the
+    younger loads that were already ready."""
+    from repro.backend.inflight import InflightOp
+    from repro.pipeline.core import Core
+
+    trace = generate_trace("spill_reload", max_ops=400)
+    oldest, *younger = [InflightOp(op, 0, 0, 0)
+                        for op in [op for op in trace.ops if op.is_load][:3]]
+    store = InflightOp(next(op for op in trace.ops if op.is_store), 0, 0, 0)
+    core = Core(CoreConfig())
+    core._reset(trace)
+    for load in (oldest, *younger):
+        load.fu_pool = core.fus.load_ports
+    core.cycle = 10
+    core.execution_wheel[10] = [store]
+    core._store_waiters[store.seq] = [oldest]
+    core._ready[:] = younger
+    core._do_complete()
+    core._do_issue()
+    # Two load ports: the woken load and the older of the other two issue.
+    assert store.completed
+    assert [load.issued for load in (oldest, *younger)] == [True, True, False]
