@@ -48,7 +48,7 @@ The subpackages are documented in DESIGN.md and docs/maintainer-guide.md;
 the most useful entry points are re-exported here.
 """
 
-from repro.core.isrb import InflightSharedRegisterBuffer, IsrbConfig
+from repro.core.isrb import InflightSharedRegisterBuffer
 from repro.experiments import (
     Job,
     JobResult,
@@ -104,7 +104,6 @@ __all__ = [
     "simulate_sampled",
     "simulate_trace",
     "InflightSharedRegisterBuffer",
-    "IsrbConfig",
     "TrackerConfig",
     "make_tracker",
     "MoveEliminationPolicy",

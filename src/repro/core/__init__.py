@@ -31,7 +31,7 @@ This package contains everything Sections 2-4 of the paper describe:
 
 from repro.core.ddt import CommitCsnTable, DataDependencyTable, DdtConfig
 from repro.core.distance import DistancePrediction, TageDistanceConfig, TageDistancePredictor
-from repro.core.isrb import InflightSharedRegisterBuffer, IsrbConfig
+from repro.core.isrb import InflightSharedRegisterBuffer
 from repro.core.matrix import BattleMatrixTracker, RothMatrixTracker
 from repro.core.mit import MultipleInstantiationTable
 from repro.core.move_elim import MoveEliminationPolicy, MoveEliminationStats
@@ -46,7 +46,6 @@ __all__ = [
     "ReclaimDecision",
     "make_tracker",
     "InflightSharedRegisterBuffer",
-    "IsrbConfig",
     "ReferenceCounterTracker",
     "RothMatrixTracker",
     "BattleMatrixTracker",

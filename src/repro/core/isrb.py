@@ -50,31 +50,6 @@ class IsrbEntry:
     referenced_committed: int = 0
 
 
-@dataclass(frozen=True)
-class IsrbConfig:
-    """Convenience constructor arguments for a stand-alone ISRB.
-
-    The pipeline configures the ISRB through
-    :class:`~repro.core.tracker.TrackerConfig`; this small dataclass exists
-    for direct experimentation with the structure itself.
-    """
-
-    entries: int | None = 32
-    counter_bits: int | None = 3
-    checkpoints: int = 8
-    num_phys_regs: int = 512
-
-    def to_tracker_config(self) -> TrackerConfig:
-        """Convert to the generic tracker configuration."""
-        return TrackerConfig(
-            scheme="isrb",
-            entries=self.entries,
-            counter_bits=self.counter_bits,
-            checkpoints=self.checkpoints,
-            num_phys_regs=self.num_phys_regs,
-        )
-
-
 class InflightSharedRegisterBuffer(SharingTracker):
     """The ISRB register sharing tracker."""
 
@@ -83,16 +58,12 @@ class InflightSharedRegisterBuffer(SharingTracker):
     supports_move_elimination = True
     checkpoint_recovery = True
 
-    def __init__(self, config: TrackerConfig | IsrbConfig | None = None) -> None:
-        if config is None:
-            config = IsrbConfig()
-        if isinstance(config, IsrbConfig):
-            config = config.to_tracker_config()
-        super().__init__(config)
+    def __init__(self, config: TrackerConfig | None = None) -> None:
+        super().__init__(config or TrackerConfig())
         self._entries: dict[int, IsrbEntry] = {}
         self._checkpoints: dict[int, dict[int, int]] = {}
         self._next_checkpoint_id = 0
-        if config.scheme == "unlimited":
+        if self.config.scheme == "unlimited":
             self.name = "unlimited"
 
     # -- capacity helpers ---------------------------------------------------------
@@ -212,11 +183,6 @@ class InflightSharedRegisterBuffer(SharingTracker):
         self.stats.flush_recoveries += 1
         self.stats.registers_freed_on_flush += len(freed)
         return freed
-
-    @property
-    def live_checkpoints(self) -> int:
-        """Number of currently held checkpoints."""
-        return len(self._checkpoints)
 
     # -- introspection ------------------------------------------------------------
 

@@ -10,23 +10,21 @@ physical register requires decrementing up to n counters, with n the number
 of checkpoints" -- Section 4.2).
 
 Functionally the RDA resolves sharing exactly like a capacity-limited ISRB;
-this class therefore reuses that machinery and overrides the cost model:
-
-* per-entry storage is a register tag plus a *single* counter;
-* per-checkpoint storage is one counter per entry (same as the ISRB);
-* every retirement of a tracked mapping costs ``live checkpoints`` extra
-  counter updates, which the class counts so experiments can report the
-  update-port pressure the paper objects to.
+this class therefore reuses that machinery and overrides only the storage
+model: per entry, a register tag plus a *single* counter; per checkpoint,
+one counter per entry (same as the ISRB).  The checkpoint updates each
+retirement costs -- the update-port pressure the paper objects to -- change
+no simulated timing, so they are not modelled.
 """
 
 from __future__ import annotations
 
 from repro.core.isrb import InflightSharedRegisterBuffer
-from repro.core.tracker import ReclaimDecision, TrackerConfig
+from repro.core.tracker import TrackerConfig
 
 
 class RegisterDuplicateArray(InflightSharedRegisterBuffer):
-    """A capacity-limited sharing tracker with RDA-style checkpoint maintenance costs."""
+    """A capacity-limited sharing tracker with the RDA's single-counter storage."""
 
     name = "rda"
     supports_memory_bypass = True
@@ -35,18 +33,6 @@ class RegisterDuplicateArray(InflightSharedRegisterBuffer):
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         super().__init__(config or TrackerConfig(scheme="rda", entries=32, counter_bits=3))
-        #: Number of checkpoint-copy counter updates forced by retiring mappings.
-        self.checkpoint_update_operations = 0
-
-    def reclaim(self, preg: int, arch_reg: int) -> ReclaimDecision:
-        """Reclaim check; additionally accounts for the per-checkpoint update cost."""
-        if self.is_tracked(preg):
-            # All live checkpoints must observe the retirement (the cost the
-            # paper's Section 4.2 highlights).  The provisioned checkpoint
-            # count is used when no explicit checkpoints are live.
-            live = self.live_checkpoints or self.config.checkpoints
-            self.checkpoint_update_operations += live
-        return super().reclaim(preg, arch_reg)
 
     def storage_bits(self) -> int:
         """Per entry: a physical register tag plus a single reference counter."""

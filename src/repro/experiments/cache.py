@@ -3,15 +3,15 @@
 Every job of a sweep that shares a workload replays the *identical* dynamic
 trace (traces are deterministic in ``(workload, max_ops, seed)``), so the
 functional executor only needs to run once per workload -- not once per
-job.  :class:`TraceCache` materialises traces as pickle files under a cache
-directory; the sweep runner warms it in the parent process, in-process jobs
-replay the traces that warming returned, and pool worker processes read
-them from disk instead of re-executing the workload.
-
-Two-speed (sampled) sweeps cache :class:`~repro.pipeline.sampling
-.SamplePlan` objects the same way -- the checkpoint farm: one functional
+job.  Two-speed (sampled) sweeps share a :class:`~repro.pipeline.sampling
+.SamplePlan` the same way -- the checkpoint farm: one functional
 fast-forward + warming + window-recording pass per workload, shared by
-every tracker-scheme job of the sweep.  Plans are additionally keyed by the
+every tracker-scheme job of the sweep.
+
+Both kinds of entry go through one path: :func:`build` makes one,
+:class:`TraceCache` reads it through a cache directory (building and
+persisting it on a miss), and :func:`warm` builds every distinct key of a
+sweep once, in the parent process.  Plans are additionally keyed by the
 sampling geometry and the warm-relevant machine structure
 (:meth:`~repro.pipeline.config.CoreConfig.warm_signature`), because a plan
 is only executable on the machine family it was built for.
@@ -26,7 +26,6 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.isa.executor import Trace
 from repro.workloads import build_workload, materialize_trace, workload_cache_token
 
 #: Bumped whenever the trace layout changes; stale files are regenerated.
@@ -80,40 +79,43 @@ def plan_cache_key(workload: str, max_ops: int, seed: int, simulator) -> str:
 
 
 class TraceCache:
-    """Pickle-file trace cache keyed by ``(workload, max_ops, seed)``."""
+    """Pickle-file cache of what sweep jobs replay, keyed by trace key.
+
+    Every method takes the trace key ``(workload, max_ops, seed)`` and an
+    optional :class:`~repro.pipeline.sampling.SampledSimulator`: without
+    one the entry is the full-detail trace (``*.trace.pkl``), with one it
+    is the checkpoint farm's sample plan for that simulator
+    (``*.plan.pkl``).
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
-    # -- keys and paths -------------------------------------------------------------
-
-    @staticmethod
-    def key(workload: str, max_ops: int, seed: int) -> str:
-        """Stable, filesystem-safe cache key.
+    def path(self, workload: str, max_ops: int, seed: int,
+             simulator=None) -> Path:
+        """Path of the cache file for one entry (whether or not it exists).
 
         Plainly registered workloads key by name (existing cache files stay
         valid); family workloads (``riscv:<path>``, ``trace:<path>``,
         ``fuzz:...``) key by their sanitised, content-hashed cache token.
         """
-        return f"{workload_cache_token(workload)}__ops{max_ops}__seed{seed}"
+        if simulator is not None:
+            return self.root / (plan_cache_key(workload, max_ops, seed,
+                                               simulator) + ".plan.pkl")
+        return self.root / (f"{workload_cache_token(workload)}__ops{max_ops}"
+                            f"__seed{seed}.trace.pkl")
 
-    def path(self, workload: str, max_ops: int, seed: int) -> Path:
-        """Path of the cache file for one key (whether or not it exists)."""
-        return self.root / f"{self.key(workload, max_ops, seed)}.trace.pkl"
-
-    # -- read/write -----------------------------------------------------------------
-
-    def _read(self, path: Path, accept) -> dict | None:
-        """The payload pickled at ``path``, or ``None`` on a miss (counted).
+    def get(self, workload: str, max_ops: int, seed: int, simulator=None):
+        """Return the cached trace or plan, or ``None`` on a miss (counted).
 
         A missing file is a plain miss.  A torn file, or one whose payload
-        ``accept`` rejects (a stale format, a foreign plan), also counts as
-        invalid; the caller regenerates and overwrites it.
+        is stale or foreign (see :func:`_unpack`), also counts as invalid;
+        the caller rebuilds and overwrites it.
         """
         try:
-            with path.open("rb") as handle:
+            with self.path(workload, max_ops, seed, simulator).open("rb") as handle:
                 payload = pickle.load(handle)
         except FileNotFoundError:
             self.stats.misses += 1
@@ -121,15 +123,21 @@ class TraceCache:
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             payload = None
-        if not isinstance(payload, dict) or not accept(payload):
+        value = _unpack(payload, simulator)
+        if value is None:
             self.stats.invalid += 1
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return payload
+        return value
 
-    def _write(self, path: Path, payload: dict) -> Path:
-        """Atomically pickle ``payload`` to ``path``; returns the path."""
+    def put(self, workload: str, max_ops: int, seed: int, value,
+            simulator=None) -> Path:
+        """Atomically persist a trace or plan under its key; returns the file path."""
+        path = self.path(workload, max_ops, seed, simulator)
+        payload = {**_versions(simulator), "workload": workload,
+                   "max_ops": max_ops, "seed": seed,
+                   "trace" if simulator is None else "plan": value}
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -143,115 +151,79 @@ class TraceCache:
             raise
         return path
 
-    def get(self, workload: str, max_ops: int, seed: int) -> Trace | None:
-        """Return the cached trace, or ``None`` on a miss (counted)."""
-        payload = self._read(
-            self.path(workload, max_ops, seed),
-            lambda payload: (payload.get("version") == CACHE_FORMAT_VERSION
-                             and len(payload.get("trace", ())) > 0))
-        return None if payload is None else payload["trace"]
-
-    def put(self, workload: str, max_ops: int, seed: int, trace: Trace) -> Path:
-        """Atomically persist ``trace`` under its key; returns the file path."""
-        return self._write(self.path(workload, max_ops, seed), {
-            "version": CACHE_FORMAT_VERSION,
-            "workload": workload,
-            "max_ops": max_ops,
-            "seed": seed,
-            "trace": trace,
-        })
-
-    def get_or_generate(self, workload: str, max_ops: int, seed: int) -> Trace:
-        """Read-through lookup: functionally execute and persist on a miss."""
-        trace = self.get(workload, max_ops, seed)
-        if trace is not None:
-            return trace
-        trace = materialize_trace(workload, max_ops=max_ops, seed=seed)
-        self.stats.generated += 1
-        self.put(workload, max_ops, seed, trace)
-        return trace
-
-    def warm(self, keys) -> dict[tuple[str, int, int], Trace]:
-        """Materialise every distinct ``(workload, max_ops, seed)`` in ``keys``.
-
-        Returns the traces by key, in first-seen order.  ``stats.hits``
-        counts the ones read back from the cache; the executor built the
-        rest -- the acceptance check for "the executor ran once per
-        workload" in sweeps.
-        """
-        return {key: self.get_or_generate(*key) for key in dict.fromkeys(keys)}
-
-    # -- sample plans (checkpoint farm) -----------------------------------------------
-
-    def plan_path(self, workload: str, max_ops: int, seed: int, simulator) -> Path:
-        """Path of the cached sample plan for one (workload, geometry, machine)."""
-        return self.root / (plan_cache_key(workload, max_ops, seed, simulator)
-                            + ".plan.pkl")
-
-    def get_plan(self, workload: str, max_ops: int, seed: int, simulator):
-        """Return the cached :class:`SamplePlan`, or ``None`` on a miss (counted)."""
-
-        def accept(payload: dict) -> bool:
-            # A plan embeds recorded Trace/DynamicOp objects, so a trace
-            # layout bump invalidates cached plans too.  The key encodes
-            # geometry and machine already; re-verify anyway so a stale or
-            # hand-copied file can never smuggle in a foreign plan.
-            plan = payload.get("plan")
-            return (payload.get("version") == PLAN_FORMAT_VERSION
-                    and payload.get("trace_version") == CACHE_FORMAT_VERSION
-                    and plan is not None
-                    and plan.sampling == simulator.sampling_fingerprint()
-                    and plan.warm_signature == simulator.config.warm_signature())
-
-        payload = self._read(
-            self.plan_path(workload, max_ops, seed, simulator), accept)
-        return None if payload is None else payload["plan"]
-
-    def put_plan(self, workload: str, max_ops: int, seed: int, simulator,
-                 plan) -> Path:
-        """Atomically persist a sample plan under its key; returns the file path."""
-        return self._write(
-            self.plan_path(workload, max_ops, seed, simulator),
-            {"version": PLAN_FORMAT_VERSION,
-             "trace_version": CACHE_FORMAT_VERSION, "workload": workload,
-             "max_ops": max_ops, "seed": seed, "plan": plan})
-
-    def get_or_plan(self, workload: str, max_ops: int, seed: int, simulator):
-        """Read-through lookup: run the planning pass and persist on a miss."""
-        plan = self.get_plan(workload, max_ops, seed, simulator)
-        if plan is not None:
-            return plan
-        plan = _plan(workload, max_ops, seed, simulator)
-        self.stats.generated += 1
-        self.put_plan(workload, max_ops, seed, simulator, plan)
-        return plan
+    def get_or_generate(self, workload: str, max_ops: int, seed: int,
+                        simulator=None):
+        """Read-through lookup: build and persist the entry on a miss."""
+        value = self.get(workload, max_ops, seed, simulator)
+        if value is None:
+            value = build(workload, max_ops, seed, simulator)
+            self.stats.generated += 1
+            self.put(workload, max_ops, seed, value, simulator)
+        return value
 
 
-def _plan(workload: str, max_ops: int, seed: int, simulator):
-    """The checkpoint farm's planning pass for one trace key."""
+def _versions(simulator) -> dict[str, int]:
+    """The format-version fields a trace or plan payload starts with.
+
+    A plan embeds recorded ``Trace``/``DynamicOp`` objects, so a trace
+    layout bump invalidates cached plans too.
+    """
+    if simulator is None:
+        return {"version": CACHE_FORMAT_VERSION}
+    return {"version": PLAN_FORMAT_VERSION,
+            "trace_version": CACHE_FORMAT_VERSION}
+
+
+def _unpack(payload, simulator):
+    """The trace or plan a loaded payload holds, or ``None`` if stale or foreign.
+
+    A plan's file name encodes its geometry and machine already; both are
+    re-verified anyway, so a stale or hand-copied file can never smuggle
+    in a foreign plan.
+    """
+    if not isinstance(payload, dict) or any(
+            payload.get(name) != version
+            for name, version in _versions(simulator).items()):
+        return None
+    if simulator is None:
+        return payload.get("trace") or None     # an empty trace is torn
+    plan = payload.get("plan")
+    if plan is None or plan.sampling != simulator.sampling_fingerprint() \
+            or plan.warm_signature != simulator.config.warm_signature():
+        return None
+    return plan
+
+
+def build(workload: str, max_ops: int, seed: int, simulator=None):
+    """Build what a job replays: the full-detail trace, or ``simulator``'s plan.
+
+    The plan is the checkpoint farm's planning pass for the trace key.
+    """
+    if simulator is None:
+        return materialize_trace(workload, max_ops=max_ops, seed=seed)
     image = build_workload(workload, seed=seed)
     return simulator.plan(image, workload, max_ops, workload=workload)
 
 
-def warm_plans(keys, simulator, cache: TraceCache | None = None) -> dict:
-    """Plan every distinct trace key in ``keys`` once, through ``cache`` if given.
+def warm(keys, simulator=None, cache: TraceCache | None = None) -> dict:
+    """Build every distinct trace key in ``keys`` once, through ``cache`` if given.
 
-    Returns the plans by key, in first-seen order.  With a cache,
-    ``cache.stats.hits`` counts the ones read back from it and the planning
-    pass built the rest -- the acceptance check for "the warmup ran once
-    per workload" in checkpoint-farm sweeps; without one, nothing is
-    pickled.
+    Returns the traces -- or, given ``simulator``, the sample plans -- by
+    key, in first-seen order.  With a cache, ``cache.stats.hits`` counts
+    the ones read back from it and the rest were built -- the acceptance
+    check for "the executor (or the warmup) ran once per workload" in
+    sweeps; without one, nothing is pickled.
 
-    A key whose planning fails (a workload that halts before its first
-    window, a budget below the warmup) is left out, so that workload fails
-    *its own jobs* with the real error -- the job-side fallback re-plans
-    and reports it -- instead of aborting the whole sweep.
+    A key whose build raises (a malformed imported trace, a workload that
+    halts before its first window, a budget below the warmup) is left out,
+    so that workload fails *its own jobs* with the real error -- each job
+    rebuilds it and reports it -- instead of aborting the whole sweep.
     """
-    plan = _plan if cache is None else cache.get_or_plan
-    plans = {}
+    warmed = {}
     for key in dict.fromkeys(keys):
         try:
-            plans[key] = plan(*key, simulator)
+            warmed[key] = (build(*key, simulator) if cache is None
+                           else cache.get_or_generate(*key, simulator))
         except Exception:
             continue
-    return plans
+    return warmed

@@ -23,8 +23,9 @@ duration of the call when the caller gave none -- and a per-process memo
 keeps a worker from re-reading the same pickle for every job it executes.
 
 Two-speed (sampled) sweeps go one step further -- the **checkpoint farm**:
-the parent runs the scheme-independent planning pass (functional
-fast-forward, SMARTS warming, window recording) once per workload via
+through the same warming, hand-over, cache and memo, the parent runs the
+scheme-independent planning pass (functional fast-forward, SMARTS
+warming, window recording) once per workload via
 :meth:`~repro.pipeline.sampling.SampledSimulator.plan`, and every tracker
 -scheme job of the sweep executes its detailed windows from those shared
 checkpoints (:meth:`~repro.pipeline.sampling.SampledSimulator
@@ -61,7 +62,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.experiments.cache import TraceCache, plan_cache_key, warm_plans
+from repro.experiments.cache import TraceCache, build, warm
 from repro.experiments.faults import FaultPlan
 from repro.experiments.grid import Job, SweepSpec
 from repro.experiments.report import SweepReport, build_report, failure_summary
@@ -71,7 +72,9 @@ from repro.experiments.scheduler import (InProcessScheduler,
 from repro.pipeline.core import simulate_trace
 from repro.pipeline.result import SimulationResult
 from repro.pipeline.sampling import SampledSimulator
-from repro.workloads import materialize_trace
+# Not called here (builds go through repro.experiments.cache), but kept as
+# a public name of this module: perfbench's tracer wraps it.
+from repro.workloads import materialize_trace  # noqa: F401
 
 #: Poll period while waiting on cells leased by a concurrent resumable run.
 _AWAIT_POLL_SECONDS = 0.25
@@ -115,44 +118,36 @@ def _phase(logger, name: str, **fields):
         return contextlib.nullcontext()
     return logger.phase(name, **fields)
 
-#: Per-process read memos: a pool worker executes many jobs on the same few
-#: workloads, so re-reading the pickled trace/plan for every job is wasted
-#: I/O.  Bounded (cleared wholesale when full) because a process may run
-#: many sweeps in one session.
-_TRACE_MEMO: dict = {}
-_PLAN_MEMO: dict = {}
+
+#: Per-process read memo, keyed by cache file: a pool worker executes many
+#: jobs on the same few workloads, so re-reading the pickled trace or plan
+#: for every job is wasted I/O.  Bounded (cleared wholesale when full)
+#: because a process may run many sweeps in one session.
+_MEMO: dict[str, object] = {}
 _MEMO_LIMIT = 32
 
 
-def _memoized(memo: dict, key, loader):
-    value = memo.get(key)
+def _replayed(job: Job, cache_root: str | None,
+              simulator: SampledSimulator | None):
+    """The trace or plan ``job`` replays when this process warmed none.
+
+    With a ``cache_root`` it is read through the memo and the cache: a
+    miss (``run_jobs`` called without a prior warm, or a key whose
+    warming raised) is built and persisted for the other jobs on the same
+    workload; writes are atomic, so concurrent workers are safe.  Without
+    one it is built afresh.
+    """
+    if cache_root is None:
+        return build(*job.trace_key, simulator)
+    cache = TraceCache(cache_root)
+    path = str(cache.path(*job.trace_key, simulator))
+    value = _MEMO.get(path)
     if value is None:
-        value = loader()
-        if value is not None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = value
+        value = cache.get_or_generate(*job.trace_key, simulator)
+        if len(_MEMO) >= _MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[path] = value
     return value
-
-
-def _load_trace(job: Job, cache_root: str | None):
-    if cache_root is not None:
-        # Read-through: a miss (e.g. run_jobs called without a prior warm)
-        # is generated once and persisted for the other jobs on the same
-        # workload.  Writes are atomic, so concurrent workers are safe.
-        return _memoized(
-            _TRACE_MEMO, (cache_root, *job.trace_key),
-            lambda: TraceCache(cache_root).get_or_generate(*job.trace_key))
-    # materialize_trace handles imported-trace workloads (trace:<path>),
-    # which have no functional image to execute.
-    return materialize_trace(job.workload, max_ops=job.max_ops, seed=job.seed)
-
-
-def _load_plan(job: Job, cache_root: str, simulator: SampledSimulator):
-    key = (cache_root, plan_cache_key(*job.trace_key, simulator))
-    return _memoized(
-        _PLAN_MEMO, key,
-        lambda: TraceCache(cache_root).get_plan(*job.trace_key, simulator))
 
 
 def _execute_job(payload: tuple[Job, str | None, object | None]
@@ -160,31 +155,22 @@ def _execute_job(payload: tuple[Job, str | None, object | None]
     """Worker entry point (module-level so it pickles under every start method).
 
     ``warmed`` is the job's trace or sample plan when this process warmed
-    it; otherwise the job loads it from ``cache_root`` or builds it.
+    it; otherwise the job reads it through ``cache_root`` or builds it.
+    Sampled jobs execute their plan's detailed windows (the checkpoint
+    farm); :meth:`~repro.pipeline.sampling.SampledSimulator.execute_plan`
+    fails the job if the plan was built for another geometry or machine.
     """
     job, cache_root, warmed = payload
     start = time.perf_counter()
     try:
-        if job.sampling is not None:
-            simulator = SampledSimulator(job.config, job.sampling)
-            plan = warmed
-            if plan is None and cache_root is not None:
-                plan = _load_plan(job, cache_root, simulator)
-            if plan is not None \
-                    and plan.sampling == simulator.sampling_fingerprint() \
-                    and plan.warm_signature == simulator.config.warm_signature():
-                # Checkpoint farm: detailed windows only, from the shared
-                # warmup (identical result, proven by the property tests).
-                result = simulator.execute_plan(plan)
-            else:
-                # Independent warming: plan + execute in one call.  Sampled
-                # mode never materialises the full trace (that is the
-                # point), so the trace side of the cache is not consulted.
-                result = simulator.run_workload(job.workload, max_ops=job.max_ops,
-                                                seed=job.seed)
+        simulator = (SampledSimulator(job.config, job.sampling)
+                     if job.sampling is not None else None)
+        replayed = (warmed if warmed is not None
+                    else _replayed(job, cache_root, simulator))
+        if simulator is None:
+            result = simulate_trace(replayed, job.config)
         else:
-            trace = warmed if warmed is not None else _load_trace(job, cache_root)
-            result = simulate_trace(trace, job.config)
+            result = simulator.execute_plan(replayed)
         return True, result, None, time.perf_counter() - start
     except Exception:
         return False, None, traceback.format_exc(), time.perf_counter() - start
@@ -217,9 +203,8 @@ def run_jobs(jobs: list[Job], workers: int = 1, timeout: float | None = None,
     :class:`~repro.pipeline.sampling.SamplePlan` for sampled jobs.
     In-process jobs run from it as is.  Pool workers ignore it -- shipping
     traces through pickle per job would cost more than it saves -- and
-    read from ``cache_dir`` instead.  A job with neither warms on its own:
-    it replays a freshly built trace, or plans and executes its sampled
-    run independently.
+    read through ``cache_dir`` instead.  A job with neither builds its own
+    trace or plan.
 
     ``store`` is an optional :class:`~repro.paper.store.ResultsStore`:
     jobs it already holds are returned immediately (``from_store=True``)
@@ -459,22 +444,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
               stats: ReliabilityStats | None = None) -> SweepReport:
     """Expand ``spec``, warm its traces or plans, run the scheduler, aggregate.
 
-    Full-detail sweeps materialise each distinct trace exactly once before
-    any job starts.  In-process runs (``workers <= 1``) keep the warmed
-    traces in memory and hand each job the one it replays; with a
-    ``cache_dir`` they are still read from or written to that cache while
-    warming.  Pool runs leave the traces in ``cache_dir`` -- or in an
+    A full-detail sweep replays one trace per workload; a sampled sweep
+    runs the shared-warmup checkpoint farm, one sample plan per workload
+    executed by every scheme job (results equal per-scheme independent
+    warming, which ``run_jobs(spec.expand())`` performs).  Both are warmed
+    the same way: when a ``cache_dir`` is given, or some workload has more
+    than one cell to run, the parent builds each distinct trace or plan
+    once (:func:`~repro.experiments.cache.warm`) before any job starts;
+    otherwise each job builds its own.  In-process runs (``workers <= 1``)
+    keep what was warmed in memory and hand each job the one it replays;
+    with a ``cache_dir`` it is still read from or written to that cache
+    while warming.  Pool runs leave it in ``cache_dir`` -- or in an
     ephemeral cache for the duration of the call -- for their workers to
-    read.  Without a ``cache_dir``, a trace that only one job replays is
-    left to that job.
-
-    Sampled sweeps run the shared-warmup checkpoint farm the same way:
-    one planning pass per workload in the parent, executed by every scheme
-    job (results equal per-scheme independent warming, which
-    ``run_jobs(spec.expand())`` performs).  The report's
-    ``cache_stats`` records generated-versus-reused counts only for a
-    caller-supplied ``cache_dir``, so the artifact stays byte-identical
-    however the sweep was scheduled.
+    read.  A workload whose trace or plan cannot be built fails its own
+    cells with the build error; the rest of the grid still runs.  The
+    report's ``cache_stats`` records generated-versus-reused counts only
+    for a caller-supplied ``cache_dir``, so the artifact stays
+    byte-identical however the sweep was scheduled.
 
     ``store`` (a :class:`~repro.paper.store.ResultsStore`) makes the sweep
     resumable: finished cells are skipped, fresh ones are appended to the
@@ -507,17 +493,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
         pending = jobs
     keys = list(dict.fromkeys(job.trace_key for job in pending))
     sampling = spec.sampling_config()
-    if sampling is None:
-        warm = cache_dir is not None or len(pending) > len(keys)
-    else:
-        warm = cache_dir is not None or bool(pending)
+    simulator = (SampledSimulator(spec.base_config, sampling)
+                 if sampling is not None else None)
+    kind = "traces" if simulator is None else "plans"
     pool = workers > 1 and len(pending) > 1
     cache_stats: dict[str, int] = {}
     warmed: dict = {}
     ephemeral_dir: str | None = None
     effective_cache_dir = cache_dir
     try:
-        if warm:
+        if cache_dir is not None or len(pending) > len(keys):
             if cache_dir is None and pool:
                 # Pool workers are other processes: they read what the
                 # parent warmed from a cache that lives for this call.
@@ -525,16 +510,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
                 effective_cache_dir = ephemeral_dir
             cache = (TraceCache(effective_cache_dir)
                      if effective_cache_dir is not None else None)
-            if sampling is None:
-                with _phase(logger, "trace_build", traces=len(keys)):
-                    warmed = cache.warm(keys) if cache is not None else {
-                        key: materialize_trace(*key) for key in keys}
-            else:
-                simulator = SampledSimulator(spec.base_config, sampling)
-                with _phase(logger, "plan", plans=len(keys)):
-                    warmed = warm_plans(keys, simulator, cache)
+            with _phase(logger, "trace_build" if simulator is None else "plan",
+                        **{kind: len(keys)}):
+                warmed = warm(keys, simulator, cache)
             if cache_dir is not None:
-                kind = "traces" if sampling is None else "plans"
                 reused = cache.stats.hits
                 cache_stats = {f"{kind}_generated": len(warmed) - reused,
                                f"{kind}_reused": reused, **cache.stats.as_dict()}

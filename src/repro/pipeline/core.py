@@ -263,41 +263,37 @@ class Core:
             do_rename()
             do_fetch()
             self.cycle += 1
+            if skipping and not self._progress:
+                # Nothing fetched, renamed, issued, completed or committed:
+                # the machine state is frozen until the next scheduled
+                # event, so the intervening cycles are pure stall
+                # bookkeeping.  Jump there (never past the deadlock guard
+                # below), charging the skipped span to the same counters the
+                # per-cycle walk would have incremented (the differential
+                # tests pin this to be bit-identical).
+                target = self._next_event_cycle()
+                if target > limit + 1:
+                    target = limit + 1
+                span = target - self.cycle
+                if span > 0:
+                    if self.pending_redirect is not None \
+                            or self.fetch_blocked_until >= self.cycle:
+                        # With no redirect pending, ``target`` never exceeds
+                        # ``fetch_blocked_until`` (it is a next-event
+                        # candidate), so either every skipped cycle is
+                        # fetch-stalled or none is.
+                        counters["fetch_stall_cycles"] += span
+                    if self._rename_stalled:
+                        # The rename head was mature and resources were
+                        # unavailable this cycle; neither can change during
+                        # the frozen span.
+                        counters["rename_stall_cycles"] += span
+                    self._skipped_cycles += span
+                    self.cycle = target
             if self.cycle > limit:
                 raise RuntimeError(
                     f"simulation exceeded {limit} cycles after committing "
-                    f"{self.committed}/{len(trace.ops)} micro-ops of {trace.name!r}; "
-                    "this indicates a pipeline deadlock")
-            if self._progress or not skipping:
-                continue
-            # Nothing fetched, renamed, issued, completed or committed: the
-            # machine state is frozen until the next scheduled event, so the
-            # intervening cycles are pure stall bookkeeping.  Jump there,
-            # charging the skipped span to the same counters the per-cycle
-            # walk would have incremented (the differential tests pin this
-            # to be bit-identical).
-            target = self._next_event_cycle()
-            if target > limit + 1:
-                target = limit + 1
-            span = target - self.cycle
-            if span <= 0:
-                continue
-            if self.pending_redirect is not None \
-                    or self.fetch_blocked_until >= self.cycle:
-                # With no redirect pending, ``target`` never exceeds
-                # ``fetch_blocked_until`` (it is a next-event candidate), so
-                # either every skipped cycle is fetch-stalled or none is.
-                counters["fetch_stall_cycles"] += span
-            if self._rename_stalled:
-                # The rename head was mature and resources were unavailable
-                # this cycle; neither can change during the frozen span.
-                counters["rename_stall_cycles"] += span
-            self._skipped_cycles += span
-            self.cycle = target
-            if self.cycle > limit:
-                raise RuntimeError(
-                    f"simulation exceeded {limit} cycles after committing "
-                    f"{self.committed}/{len(trace.ops)} micro-ops of {trace.name!r}; "
+                    f"{self.committed}/{total} micro-ops of {trace.name!r}; "
                     "this indicates a pipeline deadlock")
         return self._build_result()
 

@@ -1,6 +1,6 @@
 """Trace-cache hit/miss and persistence tests."""
 
-from repro.experiments.cache import TraceCache
+from repro.experiments.cache import TraceCache, warm
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig
 
@@ -40,17 +40,13 @@ def test_corrupt_file_counts_invalid_and_regenerates(tmp_path):
     # Trace files and sample-plan files share one read path: corrupt each.
     simulator = SampledSimulator(CoreConfig(), SamplingConfig(
         period=600, window=200, warmup=100, cooldown=100))
-    cases = {
-        "trace": (TraceCache.path, TraceCache.get_or_generate,
-                  ("move_chain", 300, 1)),
-        "plan": (TraceCache.plan_path, TraceCache.get_or_plan,
-                 ("move_chain", 1_200, 1, simulator)),
-    }
-    for name, (path, lookup, key) in cases.items():
+    cases = {"trace": ("move_chain", 300, 1),
+             "plan": ("move_chain", 1_200, 1, simulator)}
+    for name, key in cases.items():
         cache = TraceCache(tmp_path / name)
-        first = lookup(cache, *key)
-        path(cache, *key).write_bytes(b"not a pickle")
-        assert lookup(cache, *key) == first, name
+        first = cache.get_or_generate(*key)
+        cache.path(*key).write_bytes(b"not a pickle")
+        assert cache.get_or_generate(*key) == first, name
         assert (cache.stats.invalid, cache.stats.generated) == (1, 2), name
 
 
@@ -58,12 +54,12 @@ def test_warm_generates_each_distinct_trace_once(tmp_path):
     cache = TraceCache(tmp_path)
     keys = [("move_chain", 300, 1), ("spill_reload", 300, 1),
             ("move_chain", 300, 1), ("move_chain", 300, 1)]
-    warmed = cache.warm(keys)
+    warmed = warm(keys, cache=cache)
     assert list(warmed) == [("move_chain", 300, 1), ("spill_reload", 300, 1)]
     assert (cache.stats.generated, cache.stats.hits) == (2, 0)
     # A second warm of the same keys reuses everything.
     again = TraceCache(tmp_path)
-    rewarmed = again.warm(keys)
+    rewarmed = warm(keys, cache=again)
     assert (again.stats.generated, again.stats.hits) == (0, 2)
     assert [len(trace) for trace in rewarmed.values()] \
         == [len(trace) for trace in warmed.values()]

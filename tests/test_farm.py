@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cache import TraceCache, plan_cache_key, warm_plans
+from repro.experiments.cache import TraceCache, plan_cache_key, warm
 from repro.experiments.cli import main as cli_main
 from repro.experiments.grid import SweepSpec, scheme_config
 from repro.experiments.report import build_report
@@ -98,15 +98,15 @@ def test_execute_plan_rejects_foreign_machine(shared_plan):
 def test_plan_cache_roundtrip(tmp_path, shared_plan):
     cache = TraceCache(tmp_path)
     simulator = SampledSimulator(CoreConfig(), SAMPLING)
-    assert cache.get_plan("spill_reload", MAX_OPS, 1, simulator) is None
-    cache.put_plan("spill_reload", MAX_OPS, 1, simulator, shared_plan)
-    loaded = cache.get_plan("spill_reload", MAX_OPS, 1, simulator)
+    assert cache.get("spill_reload", MAX_OPS, 1, simulator) is None
+    cache.put("spill_reload", MAX_OPS, 1, shared_plan, simulator)
+    loaded = cache.get("spill_reload", MAX_OPS, 1, simulator)
     assert loaded == shared_plan
     # A simulator with different geometry never sees the foreign plan.
     other = SampledSimulator(CoreConfig(),
                              SamplingConfig(period=2_000, window=300, warmup=200))
     assert other.sampling_fingerprint() != simulator.sampling_fingerprint()
-    assert cache.get_plan("spill_reload", MAX_OPS, 1, other) is None
+    assert cache.get("spill_reload", MAX_OPS, 1, other) is None
 
 
 def test_warm_plans_counts_generated_and_reused(tmp_path):
@@ -114,10 +114,10 @@ def test_warm_plans_counts_generated_and_reused(tmp_path):
     simulator = SampledSimulator(CoreConfig(), SAMPLING)
     keys = [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1),
             ("move_chain", 2_000, 1)]
-    plans = warm_plans(keys, simulator, cache)
+    plans = warm(keys, simulator, cache)
     assert list(plans) == [("move_chain", 2_000, 1), ("spill_reload", 2_000, 1)]
     assert (cache.stats.generated, cache.stats.hits) == (2, 0)
-    assert warm_plans(keys, simulator, cache) == plans
+    assert warm(keys, simulator, cache) == plans
     assert (cache.stats.generated, cache.stats.hits) == (2, 2)
 
 
@@ -236,7 +236,10 @@ def test_pooled_farm_sweep_without_cache_uses_ephemeral_plans(farm_spec):
 
 
 def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
-    """Planning failure (budget below warmup) degrades to per-job errors."""
+    """A workload whose plan or trace cannot be built fails its own cells;
+    the rest of the grid runs, sampled or in full detail."""
+    from repro.paper.store import ResultsStore
+
     spec = SweepSpec(
         schemes=("isrb",),
         workloads=("spill_reload",),
@@ -247,11 +250,34 @@ def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
         sample_warmup=200,
     )
     # The cached and the cache-less run plan through the same loop.
-    for cache_dir in (str(tmp_path), None):
+    for cache_dir in (str(tmp_path / "plans"), None):
         report = run_sweep(spec, workers=1, cache_dir=cache_dir)
         assert len(report.failures) == 2, cache_dir  # baseline + variant
         assert all("no room for a measured window" in failure["error"]
                    for failure in report.failures), cache_dir
+
+    # Full detail: a malformed imported trace beside a good workload.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    detailed = SweepSpec(schemes=("isrb", "rda"),
+                         workloads=("move_chain", f"trace:{bad}"),
+                         max_ops=500, seed=1)
+    store = ResultsStore(tmp_path / "store.jsonl", fsync=False)
+    runs = {"in-process": {},
+            "cache dir": {"cache_dir": str(tmp_path / "traces")},
+            "2-worker pool": {"workers": 2},
+            "store": {"store": store}}
+    for label, options in runs.items():
+        report = run_sweep(detailed, **options)
+        assert [failure["workload"] for failure in report.failures] \
+            == [f"trace:{bad}"] * 3, label     # baseline + two variants
+        assert all("TraceFormatError" in failure["error"]
+                   for failure in report.failures), label
+        assert set(report.speedups["move_chain"]) == set(report.variants), label
+    assert len(store) == 3
+    assert all(store.has(job) for job in detailed.expand()
+               if job.workload == "move_chain")
+    store.close()
 
 
 def test_cli_sweep_farm_reports_plan_cache(tmp_path, capsys):

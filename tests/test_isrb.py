@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.isrb import InflightSharedRegisterBuffer, IsrbConfig
+from repro.core.isrb import InflightSharedRegisterBuffer
 from repro.core.tracker import ReclaimDecision, TrackerConfig
 
 
@@ -113,13 +113,6 @@ def test_storage_bits_matches_section_6_3():
     isrb = make_isrb(entries=32, counter_bits=3)
     assert isrb.storage_bits() == 480
     assert isrb.checkpoint_bits() == 32 * 3
-
-
-def test_isrb_config_roundtrip():
-    config = IsrbConfig(entries=16, counter_bits=4, checkpoints=4)
-    isrb = InflightSharedRegisterBuffer(config)
-    assert isrb.capacity == 16
-    assert isrb.config.scheme == "isrb"
 
 
 def test_restore_unknown_checkpoint_raises():

@@ -1,5 +1,9 @@
 """End-to-end smoke tests of the trace-driven core model."""
 
+import re
+
+import pytest
+
 from repro import CoreConfig, simulate, simulate_trace
 from repro.workloads import generate_trace
 
@@ -35,6 +39,20 @@ def test_simulate_trace_matches_simulate():
     via_trace = simulate_trace(trace, CoreConfig())
     via_name = simulate("move_chain", CoreConfig(), max_ops=1_000, seed=1)
     assert via_trace.cycles == via_name.cycles
+
+
+def test_cycle_budget_guard_stops_at_the_same_commit_with_or_without_skipping():
+    """A run past ``max_cycles`` raises once, at the same committed count
+    whether idle cycles are skipped or walked one by one."""
+    trace = generate_trace("spill_reload", max_ops=2_000, seed=1)
+    committed = set()
+    for skipping in (True, False):
+        config = CoreConfig().replace(cycle_skipping=skipping)
+        with pytest.raises(RuntimeError, match="simulation exceeded 300 cycles "
+                           r"after committing \d+/2000") as raised:
+            simulate_trace(trace, config, max_cycles=300)
+        committed.add(re.search(r"committing (\d+)/", str(raised.value)).group(1))
+    assert len(committed) == 1
 
 
 def test_load_woken_by_its_store_issues_oldest_first():
