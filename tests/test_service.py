@@ -21,12 +21,21 @@ pinned here:
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import signal
 import socket
+import statistics
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.runner import run_sweep
 from repro.experiments.scheduler import RetryPolicy
 from repro.paper.store import ResultsStore
@@ -214,6 +223,7 @@ def test_error_contract_per_endpoint(server, tiny_spec):
     expect_error(client, "POST", "/health", 405, "method_not_allowed")
     expect_error(client, "DELETE", "/metrics", 405, "method_not_allowed")
     expect_error(client, "PUT", "/sweeps", 405, "method_not_allowed")
+    expect_error(client, "OPTIONS", "/health", 405, "method_not_allowed")
     expect_error(client, "POST", "/results", 405, "method_not_allowed",
                  payload={})
     # Schema rejections.
@@ -271,6 +281,82 @@ def test_protocol_junk_is_answered_with_400(server):
                             b"POST /sweeps HTTP/1.1\r\n"
                             b"Content-Length: -5\r\n\r\n")
     assert response.startswith(b"HTTP/1.1 400 ")
+
+
+# -- the transport: keep-alive and the process lifecycle ---------------------------
+
+
+def test_keep_alive_connection_keeps_its_socket_and_answers_promptly(
+        server, tiny_spec):
+    """One connection carries many requests, none held back by Nagle's
+    algorithm meeting the client's delayed ACK (about 40 ms a request)."""
+    connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                            timeout=60.0)
+    seconds = []
+    try:
+        connection.connect()
+        sock = connection.sock
+        for _ in range(20):
+            start = time.perf_counter()
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            seconds.append(time.perf_counter() - start)
+            assert response.status == 200 and body["status"] == "ok"
+            assert connection.sock is sock
+        start = time.perf_counter()
+        connection.request("POST", "/sweeps",
+                           body=json.dumps(submission(tiny_spec)).encode(),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        body = json.loads(response.read())
+        seconds.append(time.perf_counter() - start)
+        assert response.status == 202 and body["sweep"]["id"].startswith("sweep-")
+        assert connection.sock is sock
+    finally:
+        connection.close()
+    assert statistics.median(seconds) < 0.020, seconds
+
+
+def test_repro_serve_exits_130_on_sigint_with_a_connection_open(tmp_path,
+                                                                tiny_spec):
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    stderr_path = tmp_path / "serve.log"
+    with open(stderr_path, "w") as stderr:
+        # A process started in the background by a non-interactive shell
+        # inherits SIGINT ignored; restore the default so that the server's
+        # interpreter turns SIGINT into KeyboardInterrupt.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "results.jsonl")],
+            stdout=subprocess.PIPE, stderr=stderr, env=env, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    idle = None
+    try:
+        line = process.stdout.readline()
+        assert line.startswith("serving on http://127.0.0.1:"), line
+        port = int(line.strip().rsplit(":", 1)[1])
+        client = ServiceClient("127.0.0.1", port, timeout=60.0)
+        assert client.health()["status"] == "ok"
+        sweep = client.submit(schemas.spec_to_dict(tiny_spec))
+        assert client.wait(sweep["id"])["state"] == "done"
+        # An idle keep-alive connection must not hold the shutdown up.
+        idle = http.client.HTTPConnection("127.0.0.1", port, timeout=60.0)
+        idle.request("GET", "/health")
+        assert idle.getresponse().read()
+        process.send_signal(signal.SIGINT)
+        process.wait(timeout=15.0)
+    finally:
+        if idle is not None:
+            idle.close()
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+    assert process.returncode == 130
+    assert "shutting down" in stderr_path.read_text()
 
 
 # -- quotas and queue limits (blocked engine; no sleeps) -----------------------------
