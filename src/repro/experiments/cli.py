@@ -791,8 +791,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the HTTP sweep service (docs/service.md)."""
-    import asyncio
-
     from repro.service import ServiceServer, SweepService
 
     service = SweepService(args.store, workers=args.jobs,
@@ -808,7 +806,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"results store: {args.store}", file=sys.stderr)
 
     try:
-        asyncio.run(server.serve(ready=ready))
+        server.serve(ready=ready)
     except KeyboardInterrupt:
         print("\nshutting down (running sweeps are cancelled; the store "
               "resumes them on the next submission)", file=sys.stderr)
