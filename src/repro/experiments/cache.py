@@ -23,6 +23,7 @@ import hashlib
 import os
 import pickle
 import tempfile
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,19 +206,30 @@ def build(workload: str, max_ops: int, seed: int, simulator=None):
     return simulator.plan(image, workload, max_ops, workload=workload)
 
 
+@dataclass(frozen=True)
+class BuildFailure:
+    """What :func:`warm` keeps for a key whose build raised.
+
+    The formatted traceback, not the exception: every job of the key
+    fails with it, and a re-raised exception would grow its traceback.
+    """
+
+    error: str
+
+
 def warm(keys, simulator=None, cache: TraceCache | None = None) -> dict:
     """Build every distinct trace key in ``keys`` once, through ``cache`` if given.
 
     Returns the traces -- or, given ``simulator``, the sample plans -- by
     key, in first-seen order.  With a cache, ``cache.stats.hits`` counts
-    the ones read back from it and the rest were built -- the acceptance
-    check for "the executor (or the warmup) ran once per workload" in
-    sweeps; without one, nothing is pickled.
+    the ones read back from it and ``cache.stats.generated`` the ones
+    built -- the acceptance check for "the executor (or the warmup) ran
+    once per workload" in sweeps; without one, nothing is pickled.
 
     A key whose build raises (a malformed imported trace, a workload that
-    halts before its first window, a budget below the warmup) is left out,
-    so that workload fails *its own jobs* with the real error -- each job
-    rebuilds it and reports it -- instead of aborting the whole sweep.
+    halts before its first window, a budget below the warmup) maps to a
+    :class:`BuildFailure`, so that workload fails *its own jobs* with the
+    real error, built once, instead of aborting the whole sweep.
     """
     warmed = {}
     for key in dict.fromkeys(keys):
@@ -225,5 +237,5 @@ def warm(keys, simulator=None, cache: TraceCache | None = None) -> dict:
             warmed[key] = (build(*key, simulator) if cache is None
                            else cache.get_or_generate(*key, simulator))
         except Exception:
-            continue
+            warmed[key] = BuildFailure(traceback.format_exc())
     return warmed

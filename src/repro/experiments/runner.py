@@ -62,7 +62,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.experiments.cache import TraceCache, build, warm
+from repro.experiments.cache import BuildFailure, TraceCache, warm
 from repro.experiments.faults import FaultPlan
 from repro.experiments.grid import Job, SweepSpec
 from repro.experiments.report import SweepReport, build_report, failure_summary
@@ -131,19 +131,23 @@ def _replayed(job: Job, cache_root: str | None,
               simulator: SampledSimulator | None):
     """The trace or plan ``job`` replays when this process warmed none.
 
-    With a ``cache_root`` it is read through the memo and the cache: a
-    miss (``run_jobs`` called without a prior warm, or a key whose
-    warming raised) is built and persisted for the other jobs on the same
-    workload; writes are atomic, so concurrent workers are safe.  Without
-    one it is built afresh.
+    Built through :func:`~repro.experiments.cache.warm`, so a build that
+    raises gives a :class:`~repro.experiments.cache.BuildFailure`.  With a
+    ``cache_root`` it is read through the memo and the cache: a miss
+    (``run_jobs`` called without a prior warm, or a pool worker's first
+    job on a workload) is built and persisted for the other jobs on the
+    same workload; writes are atomic, so concurrent workers are safe.
+    The memo keeps failures too, so a worker builds a bad key once.
+    Without a ``cache_root`` it is built afresh.
     """
+    key = job.trace_key
     if cache_root is None:
-        return build(*job.trace_key, simulator)
+        return warm([key], simulator)[key]
     cache = TraceCache(cache_root)
-    path = str(cache.path(*job.trace_key, simulator))
+    path = str(cache.path(*key, simulator))
     value = _MEMO.get(path)
     if value is None:
-        value = cache.get_or_generate(*job.trace_key, simulator)
+        value = warm([key], simulator, cache)[key]
         if len(_MEMO) >= _MEMO_LIMIT:
             _MEMO.clear()
         _MEMO[path] = value
@@ -156,6 +160,8 @@ def _execute_job(payload: tuple[Job, str | None, object | None]
 
     ``warmed`` is the job's trace or sample plan when this process warmed
     it; otherwise the job reads it through ``cache_root`` or builds it.
+    Either way a :class:`~repro.experiments.cache.BuildFailure` fails the
+    job with that build's error.
     Sampled jobs execute their plan's detailed windows (the checkpoint
     farm); :meth:`~repro.pipeline.sampling.SampledSimulator.execute_plan`
     fails the job if the plan was built for another geometry or machine.
@@ -167,6 +173,8 @@ def _execute_job(payload: tuple[Job, str | None, object | None]
                      if job.sampling is not None else None)
         replayed = (warmed if warmed is not None
                     else _replayed(job, cache_root, simulator))
+        if isinstance(replayed, BuildFailure):
+            return False, None, replayed.error, time.perf_counter() - start
         if simulator is None:
             result = simulate_trace(replayed, job.config)
         else:
@@ -514,9 +522,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1, cache_dir: str | None = None,
                         **{kind: len(keys)}):
                 warmed = warm(keys, simulator, cache)
             if cache_dir is not None:
-                reused = cache.stats.hits
-                cache_stats = {f"{kind}_generated": len(warmed) - reused,
-                               f"{kind}_reused": reused, **cache.stats.as_dict()}
+                cache_stats = {f"{kind}_generated": cache.stats.generated,
+                               f"{kind}_reused": cache.stats.hits,
+                               **cache.stats.as_dict()}
             if pool:
                 # Workers load their own copies; the parent need not hold
                 # every warmed object while they run.

@@ -11,12 +11,15 @@ function of the architectural instruction stream -- are shared.
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import TraceCache, plan_cache_key, warm
 from repro.experiments.cli import main as cli_main
 from repro.experiments.grid import SweepSpec, scheme_config
-from repro.experiments.report import build_report
+from repro.experiments.report import build_report, failure_summary
 from repro.experiments.runner import run_jobs, run_sweep
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.sampling import SampledSimulator, SamplingConfig
@@ -235,10 +238,26 @@ def test_pooled_farm_sweep_without_cache_uses_ephemeral_plans(farm_spec):
     assert pooled.cache_stats == {}
 
 
-def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
+def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path, monkeypatch):
     """A workload whose plan or trace cannot be built fails its own cells;
-    the rest of the grid runs, sampled or in full detail."""
+    the rest of the grid runs, sampled or in full detail.  In-process, the
+    failing build runs once, not once more per job."""
     from repro.paper.store import ResultsStore
+
+    builds = collections.Counter()
+    real_materialize = cache_module.materialize_trace
+    real_plan = SampledSimulator.plan
+
+    def counted_materialize(workload, **kwargs):
+        builds[workload] += 1
+        return real_materialize(workload, **kwargs)
+
+    def counted_plan(self, image, name, *args, **kwargs):
+        builds[name] += 1
+        return real_plan(self, image, name, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "materialize_trace", counted_materialize)
+    monkeypatch.setattr(SampledSimulator, "plan", counted_plan)
 
     spec = SweepSpec(
         schemes=("isrb",),
@@ -251,10 +270,12 @@ def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
     )
     # The cached and the cache-less run plan through the same loop.
     for cache_dir in (str(tmp_path / "plans"), None):
+        builds.clear()
         report = run_sweep(spec, workers=1, cache_dir=cache_dir)
         assert len(report.failures) == 2, cache_dir  # baseline + variant
         assert all("no room for a measured window" in failure["error"]
                    for failure in report.failures), cache_dir
+        assert builds == {"spill_reload": 1}, cache_dir
 
     # Full detail: a malformed imported trace beside a good workload.
     bad = tmp_path / "bad.jsonl"
@@ -268,12 +289,17 @@ def test_failing_workload_fails_its_jobs_not_the_sweep(tmp_path):
             "2-worker pool": {"workers": 2},
             "store": {"store": store}}
     for label, options in runs.items():
+        builds.clear()
         report = run_sweep(detailed, **options)
         assert [failure["workload"] for failure in report.failures] \
             == [f"trace:{bad}"] * 3, label     # baseline + two variants
         assert all("TraceFormatError" in failure["error"]
                    for failure in report.failures), label
+        assert len({failure_summary(failure["error"])
+                    for failure in report.failures}) == 1, label
         assert set(report.speedups["move_chain"]) == set(report.variants), label
+        if options.get("workers", 1) == 1:     # pool workers count their own
+            assert builds == {"move_chain": 1, f"trace:{bad}": 1}, label
     assert len(store) == 3
     assert all(store.has(job) for job in detailed.expand()
                if job.workload == "move_chain")
