@@ -38,6 +38,7 @@ service-wide :class:`~repro.telemetry.metrics.MetricsRegistry` backs
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,11 @@ from repro.telemetry.runlog import RunLogger
 #: Job states; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Finished jobs the service keeps (reports and event logs); when one more
+#: finishes, the one that finished first is dropped and its id answers 404.
+#: Its cells stay in the results store.
+FINISHED_JOBS_KEPT = 64
 
 #: Watchdog budget for fault-injected jobs (an injected hang must trip a
 #: timeout well before :attr:`FaultPlan.hang_seconds`), mirroring the CLI.
@@ -164,9 +170,11 @@ class SweepService:
         self.retry = retry
         self.metrics = MetricsRegistry()
         self._jobs: dict[str, SweepJob] = {}
-        self._lock = threading.Lock()
+        #: Ids of the retained finished jobs, the first finished first.
+        self._finished: collections.deque[str] = collections.deque()
+        self._lock = threading.RLock()
         #: The one store ``GET /results`` reads; its index is refreshed by
-        #: a tail read per query (queries run on executor threads).
+        #: a tail read per query (queries run on connection threads).
         self._reader = ResultsStore(store_path, fsync=False)
         self._reader_lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -240,8 +248,16 @@ class SweepService:
     # -- execution ------------------------------------------------------------------
 
     def _finish(self, job: SweepJob, state: str) -> None:
-        """Move a job to a terminal state and emit the terminal event."""
-        job.state = state
+        """Move a job to a terminal state and emit the terminal event.
+
+        Drops the earliest finished job once more than
+        :data:`FINISHED_JOBS_KEPT` are kept.
+        """
+        with self._lock:
+            job.state = state
+            self._finished.append(job.id)
+            while len(self._finished) > FINISHED_JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
         self.metrics.inc("service_sweeps_finished_total",
                          labels={"state": state})
         job.logger.event(f"sweep_{state}", id=job.id,

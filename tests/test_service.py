@@ -421,6 +421,22 @@ def test_cancelling_a_queued_sweep_frees_its_slot_immediately(
     assert client.cancel(queued["id"])["state"] == "cancelled"
 
 
+def test_job_table_keeps_only_the_latest_finished_jobs(
+        monkeypatch, make_server, gated_engine, tiny_spec):
+    monkeypatch.setattr(service_module, "FINISHED_JOBS_KEPT", 3)
+    gated_engine.set()                    # every sweep finishes at once
+    server = make_server(max_concurrent=1, quota=1, queue_limit=1)
+    client = client_for(server)
+    ids = []
+    for _ in range(8):
+        sweep = client.submit(schemas.spec_to_dict(tiny_spec))
+        assert client.wait(sweep["id"])["state"] == "done"
+        ids.append(sweep["id"])
+    listing = client.request("GET", "/sweeps")["sweeps"]
+    assert [entry["id"] for entry in listing] == ids[-3:]
+    expect_error(client, "GET", f"/sweeps/{ids[0]}", 404, "unknown_job")
+
+
 # -- the acceptance e2e: concurrency, store-served repeats, cancellation -------------
 
 
