@@ -64,14 +64,6 @@ class LoadStoreQueue:
         """``True`` when no store can be dispatched."""
         return len(self._stores) >= self.sq_capacity
 
-    def lq_occupancy(self) -> int:
-        """Number of loads currently in the queue."""
-        return len(self._loads)
-
-    def sq_occupancy(self) -> int:
-        """Number of stores currently in the queue."""
-        return len(self._stores)
-
     # -- dispatch / removal -------------------------------------------------------
 
     def add(self, entry: InflightOp) -> None:

@@ -35,10 +35,6 @@ class ReturnAddressStack:
             return None
         return self._stack.pop()
 
-    def peek(self) -> int | None:
-        """Return the top of the stack without popping it."""
-        return self._stack[-1] if self._stack else None
-
     def __len__(self) -> int:
         return len(self._stack)
 

@@ -72,11 +72,6 @@ class TageConfig:
     useful_bits: int = 2
     useful_reset_period: int = 256 * 1024
 
-    @property
-    def total_entries(self) -> int:
-        """Total number of entries across the base and tagged components."""
-        return self.base_entries + sum(component.entries for component in self.components)
-
 class TagePrediction(NamedTuple):
     """The outcome of a TAGE lookup, kept until the branch resolves.
 

@@ -141,11 +141,6 @@ class SetAssociativeCache:
         set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
 
-    def invalidate_all(self) -> None:
-        """Empty the cache (used by tests)."""
-        for cache_set in self._sets:
-            cache_set.clear()
-
     # -- snapshot / restore (two-speed simulation) ----------------------------------
 
     def to_snapshot(self) -> list:

@@ -154,14 +154,6 @@ class FreeList:
         """``True`` when ``preg`` belongs to this register class."""
         return self.first_preg <= preg < self.first_preg + self.count
 
-    def committed_free_set(self) -> set[int]:
-        """A copy of the committed free set (used by invariant checks in tests)."""
-        return set(self._committed_free)
-
-    def speculative_free_set(self) -> set[int]:
-        """A copy of the speculative free list contents."""
-        return set(self._free)
-
     def __repr__(self) -> str:
         return (f"FreeList({self.reg_class.value}, free={len(self._free)}/"
                 f"{self.count}, committed_free={len(self._committed_free)})")

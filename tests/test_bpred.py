@@ -179,7 +179,9 @@ def test_tage_construction_allocates_no_per_entry_objects():
     finally:
         if enabled:
             gc.enable()
-    assert predictor.config.total_entries > 5_000
+    config = predictor.config
+    assert config.base_entries + sum(component.entries
+                                     for component in config.components) > 5_000
     assert added < 100
 
 
@@ -449,7 +451,7 @@ def test_ras_push_pop_lifo():
     ras = ReturnAddressStack(depth=4)
     ras.push(0x100)
     ras.push(0x200)
-    assert ras.peek() == 0x200
+    assert ras.to_snapshot()[-1] == 0x200
     assert ras.pop() == 0x200
     assert ras.pop() == 0x100
     assert len(ras) == 0

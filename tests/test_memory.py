@@ -187,7 +187,7 @@ def test_hierarchy_latency_composition():
     # Same line again: L1D hit.
     assert hierarchy.access_data(8, False, pc=0x100, now=1000) == 4
     # L2 hit path: drop the line from the L1D only.
-    hierarchy.l1d.invalidate_all()
+    hierarchy.l1d.restore_snapshot([[] for _ in hierarchy.l1d.to_snapshot()])
     assert hierarchy.access_data(0, False, pc=0x100, now=2000) == 16
 
 

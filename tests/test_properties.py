@@ -71,9 +71,9 @@ class CheckedCore(Core):
             raise InvariantViolation("ROB occupancy exceeds capacity")
         if len(self.iq) > config.iq_entries:
             raise InvariantViolation("issue queue occupancy exceeds capacity")
-        if self.lsq.lq_occupancy() > config.lq_entries:
+        if len(self.lsq.loads()) > config.lq_entries:
             raise InvariantViolation("load queue occupancy exceeds capacity")
-        if self.lsq.sq_occupancy() > config.sq_entries:
+        if len(self.lsq.stores()) > config.sq_entries:
             raise InvariantViolation("store queue occupancy exceeds capacity")
 
     def _isrb_entries(self):
@@ -121,8 +121,8 @@ class CheckedCore(Core):
             raise InvariantViolation(
                 "speculative and committed rename maps disagree at drain")
         for free_list in (self.int_free, self.fp_free):
-            free = free_list.speculative_free_set()
-            committed_free = free_list.committed_free_set()
+            free = set(free_list.free_registers())
+            committed_free = set(free_list.to_snapshot()["committed_free"])
             if free != committed_free:
                 raise InvariantViolation(
                     f"{free_list.reg_class.value} free list out of balance at "
