@@ -1,4 +1,4 @@
-"""Simulation-as-a-service: an async REST front-end over the sweep harness.
+"""Simulation-as-a-service: a REST front-end over the sweep harness.
 
 The package splits transport from policy:
 
@@ -9,7 +9,7 @@ The package splits transport from policy:
   transport-agnostic job queue with per-client quotas, shared
   results-store caching and drain-path cancellation;
 * :mod:`repro.service.server` -- :class:`ServiceServer`, the stdlib
-  asyncio HTTP/1.1 + SSE skin (``repro serve`` runs it);
+  ``http.server`` HTTP/1.1 + SSE skin (``repro serve`` runs it);
 * :mod:`repro.service.client` -- a stdlib client plus the scripted
   session CI drives against a live server.
 

@@ -292,7 +292,7 @@ class ServiceServer:
         return self
 
     def stop(self) -> None:
-        """Stop :meth:`start`'s thread and open SSE streams, then the workers."""
+        """Stop serving and end open SSE streams, then the service's workers."""
         if self._thread is not None:
             self._httpd.stopping = True
             self._httpd.shutdown()

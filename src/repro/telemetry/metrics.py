@@ -186,7 +186,7 @@ class MetricsRegistry:
     artifacts.
 
     Thread-safe to update and export: the service's sweep threads and its
-    asyncio thread share one registry, so :meth:`inc`, :meth:`set`,
+    connection threads share one registry, so :meth:`inc`, :meth:`set`,
     :meth:`observe` (and the :meth:`_declare` they run) and :meth:`to_dict`
     hold a lock.  Updates come once per run or request, never per
     simulated micro-op, so the lock costs the simulator nothing.

@@ -1,13 +1,16 @@
 """Contract, concurrency and chaos tests for the sweep service.
 
-The suite runs the real asyncio server in-process on an ephemeral port
-(event-driven readiness, no sleeps) and drives it with the stdlib
-:class:`~repro.service.client.ServiceClient`.  The acceptance properties
-pinned here:
+The suite runs the real ``http.server`` front-end in-process on an
+ephemeral port (``start`` returns once it is bound, no sleeps) and drives
+it with the stdlib :class:`~repro.service.client.ServiceClient`.  The
+acceptance properties pinned here:
 
 * every endpoint answers its documented success / 4xx shapes, rejects
   unknown schema versions and malformed JSON, and survives raw protocol
   junk;
+* one keep-alive connection carries many prompt requests, and ``repro
+  serve`` exits 130 on SIGINT with a connection still open;
+* the service keeps a bounded number of finished jobs;
 * two concurrent clients requesting overlapping grids both complete and
   the shared store records each unique cell exactly once (dedup under
   contention via the lease machinery);
@@ -356,7 +359,8 @@ def test_repro_serve_exits_130_on_sigint_with_a_connection_open(tmp_path,
             process.wait()
         process.stdout.close()
     assert process.returncode == 130
-    assert "shutting down" in stderr_path.read_text()
+    log = stderr_path.read_text()
+    assert "shutting down" in log and "Traceback" not in log, log
 
 
 # -- quotas and queue limits (blocked engine; no sleeps) -----------------------------

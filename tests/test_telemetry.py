@@ -131,7 +131,7 @@ def test_registry_from_stats_skip_matches_window_local_convention():
 def test_registry_counts_exactly_under_thread_contention():
     """8 threads x 5,000 ``inc`` calls, racing to declare the same metrics.
 
-    The service's sweep threads and its asyncio thread share one registry;
+    The service's sweep threads and its connection threads share one registry;
     a thread switch inside an unlocked check-then-declare drops a metric
     another thread already counted into, which the tiny switch interval
     makes near certain.
