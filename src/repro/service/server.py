@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -59,10 +60,16 @@ def _error(status: int, code: str, message: str) -> tuple[int, bytes]:
 class _Server(ThreadingHTTPServer):
     """The listening socket, with what every connection's handler reads."""
 
+    # asyncio's backlog: with http.server's 5, a burst of connections
+    # overflows the accept queue and waits out a 1 s SYN retransmit.
+    request_queue_size = 100
+
     def __init__(self, address: tuple[str, int],
                  service: SweepService) -> None:
         self.service = service
         self.stopping = False
+        if ":" in address[0]:  # an IPv6 host such as ::1
+            self.address_family = socket.AF_INET6
         super().__init__(address, _Handler)
 
 
@@ -106,7 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self) -> None:
         length = self.headers.get("Content-Length", "0")
-        if not length.isdigit():
+        if not length.isdecimal():
             self.send_error(400, "malformed Content-Length")
             return
         if int(length) > schemas.MAX_BODY_BYTES:
@@ -274,9 +281,8 @@ class ServiceServer:
     def serve(self, ready=None) -> None:
         """Bind, then serve on this thread until interrupted (``repro serve``).
 
-        Raises :class:`OSError` when the address cannot be bound.
-        ``ready`` is an optional callback invoked with the bound port once
-        the socket is listening (the CLI prints its readiness line from it).
+        Raises :class:`OSError` if the address cannot be bound; otherwise
+        calls ``ready(port)``, if given, once the socket is listening.
         """
         self._bind()
         if ready is not None:

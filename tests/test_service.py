@@ -279,11 +279,12 @@ def test_protocol_junk_is_answered_with_400(server):
                             b"Content-Length: %d\r\n\r\n" % declared)
     assert response.startswith(b"HTTP/1.1 400 ")
     assert b"request body too large" in response
-    # A negative Content-Length likewise.
-    response = raw_exchange(server.port,
-                            b"POST /sweeps HTTP/1.1\r\n"
-                            b"Content-Length: -5\r\n\r\n")
-    assert response.startswith(b"HTTP/1.1 400 ")
+    # A negative or non-ASCII-digit Content-Length likewise.
+    for length in (b"-5", b"\xb2"):
+        response = raw_exchange(server.port,
+                                b"POST /sweeps HTTP/1.1\r\n"
+                                b"Content-Length: %s\r\n\r\n" % length)
+        assert response.startswith(b"HTTP/1.1 400 "), length
 
 
 # -- the transport: keep-alive and the process lifecycle ---------------------------
@@ -319,6 +320,36 @@ def test_keep_alive_connection_keeps_its_socket_and_answers_promptly(
     finally:
         connection.close()
     assert statistics.median(seconds) < 0.020, seconds
+
+
+def test_serves_an_ipv6_host(tmp_path):
+    service = SweepService(tmp_path / "results.jsonl", fsync=False)
+    server = ServiceServer(service, host="::1").start()
+    try:
+        assert ServiceClient("::1", server.port).health()["status"] == "ok"
+    finally:
+        server.stop()
+
+
+def test_a_burst_of_new_connections_is_answered_promptly(server):
+    """32 clients connect at once: none may wait out a SYN retransmit (1 s),
+    which an accept queue shorter than the burst would cost."""
+    start = threading.Barrier(32)
+    seconds = []
+
+    def health() -> None:
+        start.wait(timeout=30.0)
+        began = time.perf_counter()
+        client_for(server).health()
+        seconds.append(time.perf_counter() - began)
+
+    threads = [threading.Thread(target=health) for _ in range(32)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert len(seconds) == 32
+    assert max(seconds) < 0.5, sorted(seconds)
 
 
 def test_repro_serve_exits_130_on_sigint_with_a_connection_open(tmp_path,
