@@ -60,8 +60,8 @@ def _error(status: int, code: str, message: str) -> tuple[int, bytes]:
 class _Server(ThreadingHTTPServer):
     """The listening socket, with what every connection's handler reads."""
 
-    # asyncio's backlog: with http.server's 5, a burst of connections
-    # overflows the accept queue and waits out a 1 s SYN retransmit.
+    # The accept queue: with http.server's 5, a burst of new connections
+    # overflows it and waits out a 1 s SYN retransmit.
     request_queue_size = 100
 
     def __init__(self, address: tuple[str, int],
